@@ -1,6 +1,7 @@
-// CPLX-CHAIN: microbenchmarks of the chain algorithm — the paper claims
-// O(n·p²); the n-sweep must scale linearly and the p-sweep quadratically
-// (see exp_scaling for the fitted exponents).  Timing harness shared with
+// CPLX-CHAIN: microbenchmarks of the chain algorithm — the paper's scan is
+// O(n·p²), this implementation's selection O(n·p); the n-sweep must scale
+// linearly and the p-sweep at most linearly — flatter when the selection
+// scan stops early (see exp_scaling for the fitted exponents).  Timing harness shared with
 // the other bench_* binaries: bench/bench_harness.hpp; the committed
 // baseline is bench/BENCH_chain.json.
 

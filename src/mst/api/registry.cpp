@@ -615,17 +615,24 @@ DecisionResult decision_from_pooled(const char* algorithm, PlatformKind kind, Ti
                        optimal && decision_maximal(tasks, cap, pool), std::move(payload));
 }
 
+/// The chain solver's working set: the caller's SolveScratch buffers when
+/// one was threaded through the options, else fresh local ones.
+struct ChainWork {
+  ChainCountScratch own_scratch;
+  ChainSchedule own_pool;
+  ChainCountScratch& scratch;
+  ChainSchedule& pool;
+
+  explicit ChainWork(const SolveOptions& options)
+      : scratch(options.scratch != nullptr ? options.scratch->chain : own_scratch),
+        pool(options.scratch != nullptr ? options.scratch->chain_pool : own_pool) {}
+};
+
 // Count-path scratch: the caller's SolveScratch when one was threaded
 // through the options, else a per-thread fallback.  `thread_local` is the
 // fallback's whole thread-safety story — each pool worker owns its scratch
 // outright, so the handoff into count_within needs no lock (and the
 // shared-mutable-state lint exempts it).
-ChainCountScratch& chain_count_scratch(const SolveOptions& options) {
-  if (options.scratch != nullptr) return options.scratch->chain;
-  static thread_local ChainCountScratch fallback;
-  return fallback;
-}
-
 ForkCountScratch& fork_count_scratch(const SolveOptions& options) {
   if (options.scratch != nullptr) return options.scratch->fork;
   static thread_local ForkCountScratch fallback;
@@ -760,61 +767,44 @@ SolveResult solve_tree_online(const Tree& tree, const Workload& workload,
 
 void register_chain_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kChain;
-  r.add({k, "optimal", "backward construction, Theorem 1 (O(n*p^2))", /*optimal=*/true,
+  r.add({k, "optimal", "backward construction, Theorem 1 (O(n*p))", /*optimal=*/true,
          /*exponential=*/false, kReleaseOnly},
         [](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Chain& chain = expect_chain(p, "optimal");
-          if (opts.scratch != nullptr && !w.has_release_dates()) {
-            // Pooled materialization: rebuild the scratch's chain pool in
-            // place (bit-identical to the value-returning path).
-            ChainSchedule& pooled = opts.scratch->chain_pool;
-            ChainScheduler::schedule_into(chain, w.count(), opts.scratch->chain, pooled);
-            const Time lb = chain_makespan_lower_bound(chain, w.count());
-            const Time makespan = pooled.makespan();
-            return make_result("optimal", PlatformKind::kChain, w.count(), makespan, lb, true,
-                               std::move(pooled));
-          }
-          // Identical workloads take the historical path inside the core
-          // scheduler; release dates anchor the backward construction at
-          // the minimal feasible horizon instead.
-          return chain_result("optimal", ChainScheduler::schedule(chain, w), w.count(), true);
+          // Release dates anchor the backward construction at the minimal
+          // feasible horizon inside the core scheduler.
+          ChainWork work(opts);
+          ChainScheduler::schedule_into(chain, w, work.scratch, work.pool);
+          return chain_result("optimal", std::move(work.pool), w.count(), true);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           const Chain& chain = expect_chain(p, "optimal");
           if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
+          ChainWork work(opts);
           if (!opts.materialize) {
-            // Genuinely allocation-free counting for sweeps: warm scratch
-            // (caller-provided or per-thread), no placement vectors ever
-            // built.  A nonempty backward construction always ends exactly
-            // at the horizon, so the completion time is `deadline` itself
-            // (release dates included — the horizon anchor is unchanged).
-            ChainCountScratch& scratch = chain_count_scratch(opts);
+            // Allocation-free counting once the scratch is warm: no
+            // placement vectors are ever built.  A nonempty backward
+            // construction always ends exactly at the horizon, so the
+            // completion time is `deadline` itself (release dates included
+            // — the horizon anchor is unchanged).
             const std::size_t tasks =
-                pool != nullptr && pool->has_release_dates()
-                    ? ChainScheduler::count_within(chain, deadline, *pool, decision_cap(opts),
-                                                   scratch)
-                    : ChainScheduler::count_within(chain, deadline, cap, scratch);
+                pool != nullptr ? ChainScheduler::count_within(chain, deadline, *pool,
+                                                               decision_cap(opts), work.scratch)
+                                : ChainScheduler::count_within(chain, deadline, cap, work.scratch);
             return make_decision("optimal", k, deadline, tasks, tasks > 0 ? deadline : 0,
                                  /*optimal=*/decision_maximal(tasks, cap, pool), {});
           }
-          if (pool != nullptr && pool->has_release_dates()) {
-            return decision_from_schedule(
-                "optimal", k, deadline, /*optimal=*/true, cap, pool,
-                ChainScheduler::schedule_within(chain, deadline, *pool, decision_cap(opts)));
+          if (pool != nullptr) {
+            ChainScheduler::schedule_within_into(chain, deadline, *pool, decision_cap(opts),
+                                                 work.scratch, work.pool);
+          } else {
+            ChainScheduler::schedule_within_into(chain, deadline, cap, work.scratch, work.pool);
           }
-          if (opts.scratch != nullptr) {
-            ChainSchedule& pooled = opts.scratch->chain_pool;
-            ChainScheduler::schedule_within_into(chain, deadline, cap, opts.scratch->chain,
-                                                 pooled);
-            return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
-                                        pooled);
-          }
-          return decision_from_schedule(
-              "optimal", k, deadline, /*optimal=*/true, cap, pool,
-              ChainScheduler::schedule_within(chain, deadline, cap));
+          return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
+                                      work.pool);
         });
   r.add({k, "forward-greedy", "earliest-completion-time list scheduling", /*optimal=*/false,
          /*exponential=*/false, kSizesAndRelease},

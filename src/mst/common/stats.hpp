@@ -7,7 +7,7 @@
 /// Small descriptive-statistics helpers used by the experiment harness
 /// (ratio tables, scaling-exponent fits).  Kept minimal on purpose: the
 /// benches report means/medians over seeded instance sweeps and fit
-/// power-law exponents to confirm the paper's O(n p^2) complexity claim.
+/// power-law exponents to confirm the chain scheduler's O(n·p) cost.
 
 namespace mst {
 
@@ -38,7 +38,7 @@ class Sample {
 
 /// Least-squares slope of log(y) against log(x): the fitted exponent `b`
 /// in `y ≈ a·x^b`.  Used by the scaling experiment to confirm that chain
-/// scheduling runtime grows linearly in n and quadratically in p.
+/// scheduling runtime grows linearly in n and at most linearly in p.
 /// Requires all x, y strictly positive and at least two points.
 double fit_loglog_slope(const std::vector<double>& x, const std::vector<double>& y);
 

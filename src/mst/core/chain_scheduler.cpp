@@ -1,226 +1,108 @@
 #include "mst/core/chain_scheduler.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <limits>
 
 #include "mst/common/assert.hpp"
-#include "mst/schedule/comm_vector.hpp"
 
 namespace mst {
 
-ChainSchedule ChainScheduler::build_backward(const Chain& chain, Time horizon,
-                                             std::size_t max_tasks, bool stop_on_negative) {
-  const std::size_t p = chain.size();
-
-  // Hull and occupancy vectors of the paper's Fig 3, initialised at the
-  // horizon: nothing is scheduled yet, so every link and every processor is
-  // free up to `horizon`.
-  std::vector<Time> hull(p, horizon);
-  std::vector<Time> occupancy(p, horizon);
-
-  // Scratch candidate vector, reused across tasks to avoid re-allocation in
-  // the O(n·p²) inner loops.
-  std::vector<Time> candidate(p, 0);
-
-  // Tasks are produced from the last one backward; collected here in
-  // construction order and reversed at the end so that the result is in
-  // first-link emission order (the paper's indexing convention).
-  std::vector<ChainTask> built;
-  built.reserve(max_tasks);
-
-  while (built.size() < max_tasks) {
-    // Find the greatest candidate communication vector over all destinations.
-    std::optional<CommVector> best;
-    for (std::size_t k1 = p; k1 >= 1; --k1) {
-      const std::size_t k = k1 - 1;  // destination processor (0-based)
-      // Last hop: the task must fully arrive before the processor's earliest
-      // scheduled start minus its own execution, and before the link's hull.
-      candidate[k] = std::min(occupancy[k] - chain.work(k) - chain.comm(k),
-                              hull[k] - chain.comm(k));
-      // Upstream hops, built right to left.
-      for (std::size_t j1 = k; j1 >= 1; --j1) {
-        const std::size_t j = j1 - 1;
-        candidate[j] = std::min(candidate[j + 1] - chain.comm(j), hull[j] - chain.comm(j));
-      }
-      CommVector vec(candidate.begin(), candidate.begin() + static_cast<std::ptrdiff_t>(k) + 1);
-      if (!best || precedes(*best, vec)) best = std::move(vec);
-    }
-    MST_ASSERT(best.has_value());
-
-    // Decision form: stop as soon as the best possible emission would have
-    // to start before time 0 — no further task fits in the window.  Because
-    // the candidate entries increase along the vector (c_j >= 0), checking
-    // the first entry suffices.
-    if (stop_on_negative && best->front() < 0) break;
-
-    // Commit: execute as late as the destination allows, update occupancy
-    // and the hulls of every link the task crosses.
-    const std::size_t dest = best->size() - 1;
-    const Time start = occupancy[dest] - chain.work(dest);
-    occupancy[dest] = start;
-    for (std::size_t k = 0; k <= dest; ++k) hull[k] = (*best)[k];
-    built.push_back(ChainTask{dest, start, std::move(*best)});
-  }
-
-  std::reverse(built.begin(), built.end());
-  return ChainSchedule{chain, std::move(built)};
-}
-
-ChainSchedule ChainScheduler::schedule(const Chain& chain, std::size_t n) {
-  MST_REQUIRE(n >= 1, "schedule needs at least one task");
-  const Time horizon = chain.t_infinity(n);
-  ChainSchedule result = build_backward(chain, horizon, n, /*stop_on_negative=*/false);
-  MST_ASSERT(result.tasks.size() == n);
-
-  // The paper's final normalization: shift by -C^1_1 so the schedule starts
-  // at time 0.  The first emission is never negative — the all-on-first-
-  // processor schedule fits in [0, T∞] by construction of T∞ and the greedy
-  // only ever picks vectors that are at least as late.
-  const Time first_emission = result.tasks.front().emissions.front();
-  MST_ASSERT(first_emission >= 0);
-  result.shift(-first_emission);
-  return result;
-}
-
-Time ChainScheduler::makespan(const Chain& chain, std::size_t n) {
-  return schedule(chain, n).makespan();
-}
-
-ChainSchedule ChainScheduler::schedule_within(const Chain& chain, Time t_lim,
-                                              std::size_t max_tasks) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  return build_backward(chain, t_lim, max_tasks, /*stop_on_negative=*/true);
-}
-
-std::size_t ChainScheduler::max_tasks(const Chain& chain, Time t_lim, std::size_t cap) {
-  ChainCountScratch scratch;
-  return count_within(chain, t_lim, cap, scratch);
-}
-
 namespace {
 
-/// Shared body of the counting entry points; `first_emissions` may be null.
-/// Statically allocation-checked (dynamic twin: tests/test_counting.cpp).
+/// The backward construction of Fig 3: the one kernel behind every entry
+/// point of this file.  It places at most `max_tasks` tasks backward from
+/// `horizon` — stopping early, if `stop_on_negative`, before a task whose
+/// first emission would be negative — and hands each one to
+/// `commit(dest, start, emissions, length)` in construction order (latest
+/// task first).  `emissions` points into the scratch and is only valid
+/// during the call.  Returns the number of tasks placed.
+///
+/// The state is kept in the prefix-sum form of chain_scheduler.hpp: per
+/// link `a_j = h_j − C_{j+1}`, per processor `b_k = o_k − w_k − C_{k+1}`.
+/// Statically allocation-checked; the dynamic twins are
+/// tests/test_counting.cpp and tests/test_zero_alloc.cpp.
 // mstlint: zero-alloc
-std::size_t count_backward(const Chain& chain, Time t_lim, std::size_t cap,
-                           ChainCountScratch& scratch, std::vector<Time>* first_emissions) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+template <typename Commit>
+std::size_t backward(const Chain& chain, Time horizon, std::size_t max_tasks,
+                     bool stop_on_negative, ChainCountScratch& scratch, Commit&& commit) {
   const std::size_t p = chain.size();
-
-  // The hull/occupancy state of `build_backward`, in reusable buffers.
-  // `assign` only allocates when the capacity grows, so a warm scratch makes
-  // the whole loop allocation-free.
-  scratch.hull.assign(p, t_lim);
-  scratch.occupancy.assign(p, t_lim);
-  scratch.candidate.resize(p);
+  scratch.prefix.resize(p + 1);
+  scratch.link.resize(p);
+  scratch.proc.resize(p);
   scratch.best.resize(p);
-  Time* const hull = scratch.hull.data();
-  Time* const occupancy = scratch.occupancy.data();
-  Time* const candidate = scratch.candidate.data();
+  Time* const prefix = scratch.prefix.data();
+  Time* const link = scratch.link.data();
+  Time* const proc = scratch.proc.data();
   Time* const best = scratch.best.data();
 
-  std::size_t count = 0;
-  while (count < cap) {
-    // Greatest candidate communication vector over all destinations, with
-    // the vectors living in the two scratch buffers instead of CommVectors.
-    std::size_t best_len = 0;
-    for (std::size_t k1 = p; k1 >= 1; --k1) {
-      const std::size_t k = k1 - 1;
-      candidate[k] = std::min(occupancy[k] - chain.work(k) - chain.comm(k),
-                              hull[k] - chain.comm(k));
-      for (std::size_t j1 = k; j1 >= 1; --j1) {
-        const std::size_t j = j1 - 1;
-        candidate[j] = std::min(candidate[j + 1] - chain.comm(j), hull[j] - chain.comm(j));
-      }
-      if (best_len == 0 || precedes(best, best_len, candidate, k + 1)) {
-        std::copy(candidate, candidate + k + 1, best);
-        best_len = k + 1;
-      }
-    }
-    MST_ASSERT(best_len >= 1);
-
-    // Decision form: no further task fits in the window.
-    if (best[0] < 0) break;
-
-    const std::size_t dest = best_len - 1;
-    occupancy[dest] -= chain.work(dest);
-    for (std::size_t k = 0; k <= dest; ++k) hull[k] = best[k];
-    if (first_emissions != nullptr) first_emissions->push_back(best[0]);
-    ++count;
+  // Nothing is scheduled yet: every hull and occupancy sits at the horizon.
+  prefix[0] = 0;
+  for (std::size_t j = 0; j < p; ++j) {
+    MST_REQUIRE(chain.comm(j) < kTimeInfinity - prefix[j],
+                "the chain's total latency must stay below kTimeInfinity");
+    MST_REQUIRE(chain.work(j) < kTimeInfinity, "w_i must stay below kTimeInfinity");
+    prefix[j + 1] = prefix[j] + chain.comm(j);
+    link[j] = horizon - prefix[j + 1];
+    proc[j] = link[j] - chain.work(j);
   }
-  return count;
-}
-// mstlint: zero-alloc-end
 
-/// Materializing twin of `count_backward` / `build_backward`: the identical
-/// hull/occupancy arithmetic in the reusable scratch buffers, committing each
-/// task into a recycled slot of `out.tasks` (the emission vectors keep their
-/// warm capacity across rebuilds).  Statically allocation-checked; the
-/// dynamic twin is tests/test_zero_alloc.cpp.
-// mstlint: zero-alloc
-void build_backward_into(const Chain& chain, Time horizon, std::size_t max_tasks,
-                         bool stop_on_negative, ChainCountScratch& scratch, ChainSchedule& out) {
-  const std::size_t p = chain.size();
-  scratch.hull.assign(p, horizon);
-  scratch.occupancy.assign(p, horizon);
-  scratch.candidate.resize(p);
-  scratch.best.resize(p);
-  Time* const hull = scratch.hull.data();
-  Time* const occupancy = scratch.occupancy.data();
-  Time* const candidate = scratch.candidate.data();
-  Time* const best = scratch.best.data();
-
-  out.chain = chain;  // copy-assign reuses the processor buffer when warm
-  std::size_t used = 0;
-  while (used < max_tasks) {
-    std::size_t best_len = 0;
-    for (std::size_t k1 = p; k1 >= 1; --k1) {
-      const std::size_t k = k1 - 1;
-      candidate[k] = std::min(occupancy[k] - chain.work(k) - chain.comm(k),
-                              hull[k] - chain.comm(k));
-      for (std::size_t j1 = k; j1 >= 1; --j1) {
-        const std::size_t j = j1 - 1;
-        candidate[j] = std::min(candidate[j + 1] - chain.comm(j), hull[j] - chain.comm(j));
-      }
-      if (best_len == 0 || precedes(best, best_len, candidate, k + 1)) {
-        std::copy(candidate, candidate + k + 1, best);
-        best_len = k + 1;
+  constexpr Time kOpen = std::numeric_limits<Time>::max();
+  std::size_t placed = 0;
+  while (placed < max_tasks) {
+    // Destination: the Definition 3 maximum, by one ascending scan.  `gap`
+    // is min a over (dest, k]; once it or a_dest falls to b_dest, no
+    // farther processor can win.
+    std::size_t dest = 0;
+    Time gap = kOpen;
+    for (std::size_t k = 1; k < p && link[dest] > proc[dest] && gap > proc[dest]; ++k) {
+      gap = std::min(gap, link[k]);
+      if (proc[dest] < std::min(gap, proc[k])) {
+        dest = k;
+        gap = kOpen;
       }
     }
-    MST_ASSERT(best_len >= 1);
 
+    // Build only the winner, kC_j = C_j + min(b_dest, min a_{j..dest}), and
+    // lower the hulls it crosses to it on the way (a stop below discards
+    // the state anyway).
+    Time run = proc[dest];
+    for (std::size_t j = dest + 1; j-- > 0;) {
+      run = std::min(run, link[j]);
+      best[j] = prefix[j] + run;
+      link[j] = best[j] - prefix[j + 1];
+    }
+
+    // Decision form: no further task fits in the window.  The entries grow
+    // along the vector (c_j >= 0), so the first one decides.
     if (stop_on_negative && best[0] < 0) break;
 
-    const std::size_t dest = best_len - 1;
-    const Time start = occupancy[dest] - chain.work(dest);
-    occupancy[dest] = start;
-    for (std::size_t k = 0; k <= dest; ++k) hull[k] = best[k];
-    if (used == out.tasks.size()) out.tasks.emplace_back();
-    ChainTask& task = out.tasks[used];
-    task.proc = dest;
-    task.start = start;
-    task.emissions.assign(best, best + best_len);
-    ++used;
+    // Execute as late as the destination allows: start = o_dest − w_dest.
+    const Time start = proc[dest] + prefix[dest + 1];
+    proc[dest] -= chain.work(dest);
+    commit(dest, start, best, dest + 1);
+    ++placed;
   }
+  return placed;
+}
+
+/// Materializing policy: each task goes into a recycled slot of `out.tasks`,
+/// whose emission vectors keep their warm capacity across rebuilds.
+void build_into(const Chain& chain, Time horizon, std::size_t max_tasks, bool stop_on_negative,
+                ChainCountScratch& scratch, ChainSchedule& out) {
+  out.chain = chain;  // copy-assign reuses the processor buffer when warm
+  std::size_t used = 0;
+  backward(chain, horizon, max_tasks, stop_on_negative, scratch,
+           [&](std::size_t dest, Time start, const Time* emissions, std::size_t length) {
+             if (used == out.tasks.size()) out.tasks.emplace_back();
+             ChainTask& task = out.tasks[used++];
+             task.proc = dest;
+             task.start = start;
+             task.emissions.assign(emissions, emissions + length);
+           });
   out.tasks.resize(used);
   std::reverse(out.tasks.begin(), out.tasks.end());
 }
 // mstlint: zero-alloc-end
-
-}  // namespace
-
-std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim, std::size_t cap,
-                                         ChainCountScratch& scratch) {
-  return count_backward(chain, t_lim, cap, scratch, nullptr);
-}
-
-std::size_t ChainScheduler::count_within_emissions(const Chain& chain, Time t_lim,
-                                                   std::size_t cap, ChainCountScratch& scratch,
-                                                   std::vector<Time>& first_emissions) {
-  return count_backward(chain, t_lim, cap, scratch, &first_emissions);
-}
-
-namespace {
 
 /// Largest k such that the k latest backward emissions dominate the k
 /// earliest release dates: `emissions[j] >= releases[k-1-j]` for all `j < k`
@@ -255,6 +137,76 @@ void require_uniform_sizes(const Workload& workload) {
 
 }  // namespace
 
+ChainSchedule ChainScheduler::build_backward(const Chain& chain, Time horizon,
+                                             std::size_t max_tasks, bool stop_on_negative) {
+  ChainCountScratch scratch;
+  ChainSchedule out;
+  build_into(chain, horizon, max_tasks, stop_on_negative, scratch, out);
+  return out;
+}
+
+void ChainScheduler::schedule_into(const Chain& chain, std::size_t n,
+                                   ChainCountScratch& scratch, ChainSchedule& out) {
+  MST_REQUIRE(n >= 1, "schedule needs at least one task");
+  build_into(chain, chain.t_infinity(n), n, /*stop_on_negative=*/false, scratch, out);
+  MST_ASSERT(out.tasks.size() == n);
+
+  // The paper's final normalization: shift by -C^1_1 so the schedule starts
+  // at time 0.  The first emission is never negative — the all-on-first-
+  // processor schedule fits in [0, T∞] by construction of T∞ and the greedy
+  // only ever picks vectors that are at least as late.
+  const Time first_emission = out.tasks.front().emissions.front();
+  MST_ASSERT(first_emission >= 0);
+  out.shift(-first_emission);
+}
+
+ChainSchedule ChainScheduler::schedule(const Chain& chain, std::size_t n) {
+  ChainCountScratch scratch;
+  ChainSchedule out;
+  schedule_into(chain, n, scratch, out);
+  return out;
+}
+
+Time ChainScheduler::makespan(const Chain& chain, std::size_t n) {
+  return schedule(chain, n).makespan();
+}
+
+void ChainScheduler::schedule_within_into(const Chain& chain, Time t_lim, std::size_t max_tasks,
+                                          ChainCountScratch& scratch, ChainSchedule& out) {
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  build_into(chain, t_lim, max_tasks, /*stop_on_negative=*/true, scratch, out);
+}
+
+ChainSchedule ChainScheduler::schedule_within(const Chain& chain, Time t_lim,
+                                              std::size_t max_tasks) {
+  ChainCountScratch scratch;
+  ChainSchedule out;
+  schedule_within_into(chain, t_lim, max_tasks, scratch, out);
+  return out;
+}
+
+std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim, std::size_t cap,
+                                         ChainCountScratch& scratch) {
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  return backward(chain, t_lim, cap, /*stop_on_negative=*/true, scratch,
+                  [](std::size_t, Time, const Time*, std::size_t) {});
+}
+
+std::size_t ChainScheduler::count_within_emissions(const Chain& chain, Time t_lim,
+                                                   std::size_t cap, ChainCountScratch& scratch,
+                                                   std::vector<Time>& first_emissions) {
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  return backward(chain, t_lim, cap, /*stop_on_negative=*/true, scratch,
+                  [&](std::size_t, Time, const Time* emissions, std::size_t) {
+                    first_emissions.push_back(emissions[0]);
+                  });
+}
+
+std::size_t ChainScheduler::max_tasks(const Chain& chain, Time t_lim, std::size_t cap) {
+  ChainCountScratch scratch;
+  return count_within(chain, t_lim, cap, scratch);
+}
+
 std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim,
                                          const Workload& workload, std::size_t cap,
                                          ChainCountScratch& scratch) {
@@ -266,30 +218,37 @@ std::size_t ChainScheduler::count_within(const Chain& chain, Time t_lim,
   return max_released_count(scratch.emissions, workload.releases());
 }
 
-ChainSchedule ChainScheduler::schedule_within(const Chain& chain, Time t_lim,
-                                              const Workload& workload, std::size_t cap) {
+void ChainScheduler::schedule_within_into(const Chain& chain, Time t_lim,
+                                          const Workload& workload, std::size_t cap,
+                                          ChainCountScratch& scratch, ChainSchedule& out) {
   require_uniform_sizes(workload);
-  if (!workload.has_release_dates()) {
-    return schedule_within(chain, t_lim, std::min(cap, workload.count()));
-  }
-  ChainCountScratch scratch;
-  const std::size_t k = count_within(chain, t_lim, workload, cap, scratch);
   // The k-task backward build is the prefix of the counting construction, so
   // its emissions are exactly the ones the count proved release-feasible.
-  return build_backward(chain, t_lim, k, /*stop_on_negative=*/true);
+  const std::size_t k = workload.has_release_dates()
+                            ? count_within(chain, t_lim, workload, cap, scratch)
+                            : std::min(cap, workload.count());
+  schedule_within_into(chain, t_lim, k, scratch, out);
 }
 
-ChainSchedule ChainScheduler::schedule(const Chain& chain, const Workload& workload) {
+ChainSchedule ChainScheduler::schedule_within(const Chain& chain, Time t_lim,
+                                              const Workload& workload, std::size_t cap) {
+  ChainCountScratch scratch;
+  ChainSchedule out;
+  schedule_within_into(chain, t_lim, workload, cap, scratch, out);
+  return out;
+}
+
+void ChainScheduler::schedule_into(const Chain& chain, const Workload& workload,
+                                   ChainCountScratch& scratch, ChainSchedule& out) {
   require_uniform_sizes(workload);
   MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
   const std::size_t n = workload.count();
-  if (!workload.has_release_dates()) return schedule(chain, n);
+  if (!workload.has_release_dates()) return schedule_into(chain, n, scratch, out);
 
   // Minimal horizon admitting all n tasks.  The all-on-first-processor
   // schedule shifted past the last release always fits, so the upper bound
   // is feasible and the search is well defined; monotonicity of the count in
   // the horizon makes it exact.
-  ChainCountScratch scratch;
   Time lo = 0;
   Time hi = workload.last_release() + chain.t_infinity(n);
   while (lo < hi) {
@@ -300,27 +259,16 @@ ChainSchedule ChainScheduler::schedule(const Chain& chain, const Workload& workl
       lo = mid + 1;
     }
   }
-  ChainSchedule result = schedule_within(chain, lo, workload, n);
-  MST_ASSERT(result.tasks.size() == n);
-  // No -C^1_1 shift: release dates are absolute, the window is the schedule.
-  return result;
-}
-
-void ChainScheduler::schedule_into(const Chain& chain, std::size_t n,
-                                   ChainCountScratch& scratch, ChainSchedule& out) {
-  MST_REQUIRE(n >= 1, "schedule needs at least one task");
-  const Time horizon = chain.t_infinity(n);
-  build_backward_into(chain, horizon, n, /*stop_on_negative=*/false, scratch, out);
+  schedule_within_into(chain, lo, workload, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
-  const Time first_emission = out.tasks.front().emissions.front();
-  MST_ASSERT(first_emission >= 0);
-  out.shift(-first_emission);
+  // No -C^1_1 shift: release dates are absolute, the window is the schedule.
 }
 
-void ChainScheduler::schedule_within_into(const Chain& chain, Time t_lim, std::size_t max_tasks,
-                                          ChainCountScratch& scratch, ChainSchedule& out) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  build_backward_into(chain, t_lim, max_tasks, /*stop_on_negative=*/true, scratch, out);
+ChainSchedule ChainScheduler::schedule(const Chain& chain, const Workload& workload) {
+  ChainCountScratch scratch;
+  ChainSchedule out;
+  schedule_into(chain, workload, scratch, out);
+  return out;
 }
 
 }  // namespace mst

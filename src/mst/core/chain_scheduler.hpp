@@ -7,15 +7,16 @@
 #include "mst/workload/workload.hpp"
 
 /// \file chain_scheduler.hpp
-/// The paper's primary contribution (§3): an `O(n·p²)` algorithm building a
-/// makespan-optimal schedule of `n` identical tasks on a chain of
-/// heterogeneous processors, by *backward* construction from the horizon.
+/// The paper's primary contribution (§3): a makespan-optimal schedule of `n`
+/// identical tasks on a chain of heterogeneous processors, by *backward*
+/// construction from the horizon.  The paper's algorithm costs `O(n·p²)`;
+/// this implementation makes the same choices in `O(n·p)`.
 ///
 /// Sketch (matching the pseudo-code of Fig 3): the algorithm keeps, per
 /// link, a *hull* `h_k` — the earliest emission already scheduled on link
 /// `k` — and per processor an *occupancy* `o_k` — the earliest execution
 /// start already scheduled on processor `k`.  Both start at the horizon.
-/// Scheduling tasks from the last to the first, each task evaluates one
+/// Scheduling tasks from the last to the first, each task has one
 /// candidate communication vector per destination processor `k`:
 ///
 ///     kC_k = min(o_k - w_k - c_k,  h_k - c_k)          (last hop)
@@ -25,21 +26,32 @@
 /// (latest first-link emission; ties toward the nearer processor).  The
 /// schedule is finally shifted so the first emission happens at time 0.
 ///
+/// Selection in O(p).  The paper builds all `p` candidates per task.  With
+/// prefix sums `C_j = c_0 + … + c_{j-1}`, `a_j = h_j − C_{j+1}` and
+/// `b_k = o_k − w_k − C_{k+1}`, the candidate to `k` unrolls to
+/// `kC_j = C_j + min(b_k, min a_{j..k})`.  Comparing two candidates
+/// `k < k'` entry by entry then shows that Definition 3 prefers `k'` iff
+/// `a_k > b_k` and `b_k < min(b_{k'}, min a_{(k,k']})`.  So one ascending
+/// scan, whose running minimum of `a` restarts whenever the best changes,
+/// finds the winner, and only the winner's vector is built, in `O(dest)`.
+/// `trace_backward` (chain_trace.hpp) keeps the paper's `O(n·p²)` scan as
+/// the reference the tests compare against.
+///
 /// Theorem 1 proves the construction optimal; our test-suite re-verifies
 /// this against exhaustive search on thousands of small instances.
 
 namespace mst {
 
-/// Reusable buffers for the allocation-free counting path
-/// (`ChainScheduler::count_within`).  Keep one per thread: after the first
-/// call the buffers are warm, and every further call on a chain of the same
-/// (or smaller) size performs no heap allocation at all — the sweep runner's
-/// hot path relies on this.
+/// Reusable buffers of the backward construction, shared by the counting
+/// and the `_into` materializing paths.  Keep one per thread: after the
+/// first call the buffers are warm, and every further call on a chain of
+/// the same (or smaller) size performs no heap allocation at all — the
+/// sweep runner's hot path relies on this.
 struct ChainCountScratch {
-  std::vector<Time> hull;
-  std::vector<Time> occupancy;
-  std::vector<Time> candidate;
-  std::vector<Time> best;
+  std::vector<Time> prefix;     ///< `C_j = c_0 + … + c_{j-1}`
+  std::vector<Time> link;       ///< `a_j = h_j − C_{j+1}`
+  std::vector<Time> proc;       ///< `b_k = o_k − w_k − C_{k+1}`
+  std::vector<Time> best;       ///< the winning communication vector
   std::vector<Time> emissions;  ///< release-date counting: first emissions
 };
 
@@ -49,11 +61,10 @@ class ChainScheduler {
  public:
   /// Makespan form: optimal schedule of exactly `n >= 1` tasks.  The result
   /// starts at time 0 and its makespan equals the optimum (Theorem 1).
-  /// Complexity O(n·p²).
+  /// Complexity O(n·p).
   static ChainSchedule schedule(const Chain& chain, std::size_t n);
 
-  /// Optimal makespan of `n` tasks without materializing task placements
-  /// (same cost; convenience for sweeps).
+  /// Optimal makespan of `n` tasks (convenience for sweeps).
   static Time makespan(const Chain& chain, std::size_t n);
 
   /// Workload makespan form.  Identical workloads take the `schedule(chain,
@@ -101,8 +112,7 @@ class ChainScheduler {
   static std::size_t max_tasks(const Chain& chain, Time t_lim, std::size_t cap);
 
   /// Decision-form counting without materialization: replays the backward
-  /// construction of `schedule_within` but commits only the hull/occupancy
-  /// updates, never building `ChainTask`s or communication vectors.  Returns
+  /// construction of `schedule_within` but never builds `ChainTask`s.  Returns
   /// exactly `schedule_within(chain, t_lim, cap).tasks.size()`.  With a warm
   /// `scratch` this performs zero heap allocations — the registry's
   /// `materialize == false` fast path and the spider binary search both sit
@@ -130,17 +140,26 @@ class ChainScheduler {
   // -------------------------------------------------------------------------
   // Scratch-reusing materialization.  `_into` variants rebuild `out` in place
   // — task slots, their communication vectors and the chain copy all reuse
-  // warm capacity — and produce bit-identical results to the value-returning
-  // forms above (pinned by tests/test_zero_alloc.cpp).  After one warm-up
-  // call at a given (p, n), repeated solves perform zero heap allocations.
+  // warm capacity.  The value-returning forms above are these with a fresh
+  // scratch and schedule.  After one warm-up call at a given (p, n),
+  // repeated solves perform zero heap allocations (tests/test_zero_alloc.cpp).
 
-  /// In-place twin of `schedule(chain, n)`.
+  /// In-place form of `schedule(chain, n)`.
   static void schedule_into(const Chain& chain, std::size_t n, ChainCountScratch& scratch,
                             ChainSchedule& out);
 
-  /// In-place twin of `schedule_within(chain, t_lim, max_tasks)`.
+  /// In-place form of `schedule(chain, workload)`.
+  static void schedule_into(const Chain& chain, const Workload& workload,
+                            ChainCountScratch& scratch, ChainSchedule& out);
+
+  /// In-place form of `schedule_within(chain, t_lim, max_tasks)`.
   static void schedule_within_into(const Chain& chain, Time t_lim, std::size_t max_tasks,
                                    ChainCountScratch& scratch, ChainSchedule& out);
+
+  /// In-place form of `schedule_within(chain, t_lim, workload, cap)`.
+  static void schedule_within_into(const Chain& chain, Time t_lim, const Workload& workload,
+                                   std::size_t cap, ChainCountScratch& scratch,
+                                   ChainSchedule& out);
 };
 
 }  // namespace mst

@@ -8,17 +8,15 @@
 #include "mst/schedule/comm_vector.hpp"
 
 /// \file chain_trace.hpp
-/// Instrumented backward construction: the same algorithm as
-/// `ChainScheduler::build_backward`, but recording, for every task, the
-/// hull/occupancy state and all `p` candidate communication vectors
-/// considered.  Two consumers:
+/// Instrumented backward construction: the paper's `O(n·p²)` scan of Fig 3
+/// verbatim, recording, for every task, the hull/occupancy state and all `p`
+/// candidate communication vectors.  Three consumers:
 ///   * the Lemma 1 property tests — the "no crossing" claim is about the
 ///     candidate vectors themselves, which the plain scheduler discards;
 ///   * `exp_algorithm_trace`, which replays the paper's Fig 2 construction
-///     decision by decision.
-///
-/// The traced run must produce exactly the same schedule as the plain one
-/// (asserted in tests); tracing costs one extra O(p²) copy per task.
+///     decision by decision;
+///   * the oracle tests of `ChainScheduler`, whose `O(p)` selection must
+///     reproduce this scan's schedules, counts and first emissions exactly.
 
 namespace mst {
 
@@ -42,7 +40,7 @@ struct ChainTrace {
   ChainSchedule schedule;  ///< identical to the untraced construction
 };
 
-/// Traced equivalent of `ChainScheduler::build_backward`.
+/// Reference form of `ChainScheduler::build_backward`.
 ChainTrace trace_backward(const Chain& chain, Time horizon, std::size_t max_tasks,
                           bool stop_on_negative);
 

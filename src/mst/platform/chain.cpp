@@ -48,9 +48,17 @@ Chain Chain::suffix(std::size_t from) const {
 
 Time Chain::t_infinity(std::size_t n) const {
   MST_REQUIRE(n >= 1, "t_infinity needs at least one task");
+  Time latency = 0;
+  bool overflow = false;
+  for (const Processor& p : procs_) overflow |= __builtin_add_overflow(latency, p.comm, &latency);
+  MST_REQUIRE(!overflow && latency < kTimeInfinity,
+              "T∞: the chain's total latency Σc must stay below kTimeInfinity");
   const Processor& p0 = procs_.front();
-  const Time step = std::max(p0.work, p0.comm);
-  return p0.comm + static_cast<Time>(n - 1) * step + p0.work;
+  Time t = 0;
+  overflow = __builtin_mul_overflow(n - 1, std::max(p0.work, p0.comm), &t) ||
+             __builtin_add_overflow(t, p0.comm, &t) || __builtin_add_overflow(t, p0.work, &t);
+  MST_REQUIRE(!overflow && t < kTimeInfinity, "T∞ must stay below kTimeInfinity");
+  return t;
 }
 
 std::string Chain::describe() const {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
+#include "mst/api/registry.hpp"
 #include "mst/baselines/brute_force.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/schedule/feasibility.hpp"
@@ -156,6 +158,34 @@ TEST(ChainScheduler, LongHomogeneousChainSaturates) {
   const Time m16 = ChainScheduler::makespan(chain, 16);
   const Time m17 = ChainScheduler::makespan(chain, 17);
   EXPECT_EQ(m17 - m16, 2);
+}
+
+// The numeric domain: T∞ = c_0 + (n-1)·max(c_0, w_0) + w_0 and the total
+// latency Σc must stay below kTimeInfinity.  This chain once came back from
+// the optimal solver with makespan 8000000000000000008 and a sentinel lower
+// bound after signed overflow; now it is refused by name.
+TEST(ChainScheduler, RejectsChainsBeyondTheNumericDomain) {
+  const Chain chain = Chain::from_vectors({4'000'000'000'000'000'000, 3},
+                                          {4'000'000'000'000'000'000, 5});
+  try {
+    (void)chain.t_infinity(4);
+    ADD_FAILURE() << "t_infinity accepted an overflowing chain";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("T∞"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)ChainScheduler::schedule(chain, 4), std::invalid_argument);
+  EXPECT_THROW((void)api::registry().solve(api::Platform(chain), "optimal", 4),
+               std::invalid_argument);
+  // The decision form never computes T∞; its kernel checks Σc itself.
+  ChainCountScratch scratch;
+  EXPECT_THROW((void)ChainScheduler::count_within(chain, 100, 4, scratch),
+               std::invalid_argument);
+
+  // T∞ alone can overflow too, on a chain whose latency is small.
+  const Chain slow = Chain::from_vectors({1}, {kTimeInfinity / 2});
+  EXPECT_EQ(slow.t_infinity(1), kTimeInfinity / 2 + 1);
+  EXPECT_THROW((void)slow.t_infinity(2), std::invalid_argument);
+  EXPECT_THROW((void)ChainScheduler::schedule(slow, 3), std::invalid_argument);
 }
 
 }  // namespace
