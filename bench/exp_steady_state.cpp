@@ -12,11 +12,11 @@
 #include <variant>
 
 #include "mst/api/registry.hpp"
-#include "mst/baselines/bounds.hpp"
 #include "mst/baselines/periodic.hpp"
 #include "mst/common/cli.hpp"
 #include "mst/common/fmt.hpp"
 #include "mst/common/table.hpp"
+#include "mst/core/bounds.hpp"
 #include "mst/scenario/generators.hpp"
 
 int main(int argc, char** argv) {

@@ -10,11 +10,11 @@
 #include <string>
 
 #include "mst/api/registry.hpp"
-#include "mst/baselines/bounds.hpp"
 #include "mst/common/cli.hpp"
 #include "mst/common/rng.hpp"
 #include "mst/common/stats.hpp"
 #include "mst/common/table.hpp"
+#include "mst/core/bounds.hpp"
 #include "mst/platform/generator.hpp"
 
 int main(int argc, char** argv) {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "mst/baselines/bounds.hpp"
 #include "mst/common/assert.hpp"
+#include "mst/core/bounds.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
 

@@ -11,13 +11,13 @@
 #include <utility>
 
 #include "mst/baselines/asap.hpp"
-#include "mst/baselines/bounds.hpp"
 #include "mst/baselines/brute_force.hpp"
 #include "mst/baselines/forward_greedy.hpp"
 #include "mst/baselines/periodic.hpp"
 #include "mst/baselines/round_robin.hpp"
 #include "mst/baselines/single_node.hpp"
 #include "mst/baselines/tree_asap.hpp"
+#include "mst/core/bounds.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
@@ -615,18 +615,28 @@ DecisionResult decision_from_pooled(const char* algorithm, PlatformKind kind, Ti
                        optimal && decision_maximal(tasks, cap, pool), std::move(payload));
 }
 
-/// The chain solver's working set: the caller's SolveScratch buffers when
-/// one was threaded through the options, else fresh local ones.
-struct ChainWork {
-  ChainCountScratch own_scratch;
-  ChainSchedule own_pool;
-  ChainCountScratch& scratch;
-  ChainSchedule& pool;
+/// An exact solver's working set: the caller's SolveScratch buffers when
+/// one was threaded through the options, else fresh local ones, e.g.
+/// `Work work(opts, &SolveScratch::fork, &SolveScratch::fork_pool)`.
+template <typename Scratch, typename Schedule>
+struct Work {
+  Scratch own_scratch;
+  Schedule own_pool;
+  Scratch& scratch;
+  Schedule& pool;
 
-  explicit ChainWork(const SolveOptions& options)
-      : scratch(options.scratch != nullptr ? options.scratch->chain : own_scratch),
-        pool(options.scratch != nullptr ? options.scratch->chain_pool : own_pool) {}
+  Work(const SolveOptions& options, Scratch SolveScratch::*scratch_member,
+       Schedule SolveScratch::*pool_member)
+      : scratch(options.scratch != nullptr ? options.scratch->*scratch_member : own_scratch),
+        pool(options.scratch != nullptr ? options.scratch->*pool_member : own_pool) {}
 };
+
+/// Adds one makespan search's probe count to the deterministic
+/// `core.search.probes` counter (looked up once per solve, metrics on only).
+void count_search_probes(obs::MetricsRegistry* metrics, std::size_t probes) {
+  if (metrics == nullptr) return;
+  metrics->counter("core.search.probes").add(static_cast<std::int64_t>(probes));
+}
 
 // Count-path scratch: the caller's SolveScratch when one was threaded
 // through the options, else a per-thread fallback.  `thread_local` is the
@@ -774,7 +784,7 @@ void register_chain_algorithms(Registry& r) {
           const Chain& chain = expect_chain(p, "optimal");
           // Release dates anchor the backward construction at the minimal
           // feasible horizon inside the core scheduler.
-          ChainWork work(opts);
+          Work work(opts, &SolveScratch::chain, &SolveScratch::chain_pool);
           ChainScheduler::schedule_into(chain, w, work.scratch, work.pool);
           return chain_result("optimal", std::move(work.pool), w.count(), true);
         },
@@ -783,7 +793,7 @@ void register_chain_algorithms(Registry& r) {
           if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
-          ChainWork work(opts);
+          Work work(opts, &SolveScratch::chain, &SolveScratch::chain_pool);
           if (!opts.materialize) {
             // Allocation-free counting once the scratch is warm: no
             // placement vectors are ever built.  A nonempty backward
@@ -859,17 +869,21 @@ void register_fork_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Fork& fork = expect_fork(p, "optimal");
-          if (opts.scratch != nullptr && !w.has_release_dates()) {
-            ForkSchedule& pooled = opts.scratch->fork_pool;
-            ForkScheduler::schedule_into(fork, w.count(), opts.scratch->fork, pooled);
-            const Time lb = fork_makespan_lower_bound(fork, w.count(), opts.scratch->bound);
-            const Time makespan = pooled.makespan();
-            return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
+          if (w.has_release_dates()) {
+            // The positional-release selection commits to one EDD emission
+            // order, which exhaustive search beats on some instances: the
+            // schedule is feasible, not proven optimal.
+            ForkSchedule schedule = ForkScheduler::schedule(fork, w);
+            const Time lb = spider_makespan_lower_bound(Spider::from_fork(fork), w.count());
+            const Time makespan = schedule.makespan();
+            return make_result("optimal", k, w.count(), makespan, lb, false, std::move(schedule));
           }
-          ForkSchedule schedule = ForkScheduler::schedule(fork, w);
-          const Time lb = spider_makespan_lower_bound(Spider::from_fork(fork), w.count());
-          const Time makespan = schedule.makespan();
-          return make_result("optimal", k, w.count(), makespan, lb, true, std::move(schedule));
+          Work work(opts, &SolveScratch::fork, &SolveScratch::fork_pool);
+          count_search_probes(opts.metrics, ForkScheduler::schedule_into(fork, w.count(),
+                                                                         work.scratch, work.pool));
+          const Time lb = fork_makespan_lower_bound(fork, w.count(), work.scratch.bound);
+          const Time makespan = work.pool.makespan();
+          return make_result("optimal", k, w.count(), makespan, lb, true, std::move(work.pool));
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           const Fork& fork = expect_fork(p, "optimal");
@@ -883,8 +897,9 @@ void register_fork_algorithms(Registry& r) {
             // pools therefore go through the materializing construction
             // even when `materialize` is off (the payload is stripped by
             // the wrapper; pools are sweep-sized, so this stays cheap).
+            // Not proven maximal: see the released makespan form above.
             return decision_from_schedule(
-                "optimal", k, deadline, /*optimal=*/true, cap, pool,
+                "optimal", k, deadline, /*optimal=*/false, cap, pool,
                 ForkScheduler::schedule_within(fork, deadline, *pool, decision_cap(opts)));
           }
           if (!opts.materialize) {
@@ -978,21 +993,25 @@ void register_spider_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Spider& spider = expect_spider(p, "optimal");
-          if (opts.scratch != nullptr && !w.has_release_dates()) {
-            SpiderSchedule& pooled = opts.scratch->spider_pool;
-            SpiderScheduler::schedule_into(spider, w.count(), opts.scratch->spider, pooled);
-            const Time lb = spider_makespan_lower_bound(spider, w.count(), opts.scratch->bound);
-            const Time makespan = pooled.makespan();
-            return make_result("optimal", k, w.count(), makespan, lb, true, std::move(pooled));
+          if (w.has_release_dates()) {
+            // Feasible, not proven optimal (see the fork entry).
+            return spider_result("optimal", k, SpiderScheduler::schedule(spider, w), w.count(),
+                                 false);
           }
-          return spider_result("optimal", k, SpiderScheduler::schedule(spider, w), w.count(),
-                               true);
+          Work work(opts, &SolveScratch::spider, &SolveScratch::spider_pool);
+          count_search_probes(opts.metrics, SpiderScheduler::schedule_into(
+                                                spider, w.count(), work.scratch, work.pool));
+          const Time lb = spider_makespan_lower_bound(spider, w.count(), work.scratch.count.bound);
+          const Time makespan = work.pool.makespan();
+          return make_result("optimal", k, w.count(), makespan, lb, true, std::move(work.pool));
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           const Spider& spider = expect_spider(p, "optimal");
           if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
+          // A released pool is not proven maximal: see the fork entry.
+          const bool released = pool != nullptr && pool->has_release_dates();
           if (!opts.materialize) {
             // Allocation-free counting (per-leg backward count + count-only
             // selection, positional-release DP when the pool has release
@@ -1000,16 +1019,16 @@ void register_spider_algorithms(Registry& r) {
             // nonempty count completes exactly at `deadline`.
             SpiderCountScratch& scratch = spider_count_scratch(opts);
             const std::size_t tasks =
-                pool != nullptr && pool->has_release_dates()
-                    ? SpiderScheduler::count_within(spider, deadline, *pool,
-                                                    decision_cap(opts), scratch)
-                    : SpiderScheduler::count_within(spider, deadline, cap, scratch);
+                released ? SpiderScheduler::count_within(spider, deadline, *pool,
+                                                         decision_cap(opts), scratch)
+                         : SpiderScheduler::count_within(spider, deadline, cap, scratch);
             return make_decision("optimal", k, deadline, tasks, tasks > 0 ? deadline : 0,
-                                 /*optimal=*/decision_maximal(tasks, cap, pool), {});
+                                 /*optimal=*/!released && decision_maximal(tasks, cap, pool),
+                                 {});
           }
-          if (pool != nullptr && pool->has_release_dates()) {
+          if (released) {
             return decision_from_schedule(
-                "optimal", k, deadline, /*optimal=*/true, cap, pool,
+                "optimal", k, deadline, /*optimal=*/false, cap, pool,
                 SpiderScheduler::schedule_within(spider, deadline, *pool, decision_cap(opts)));
           }
           if (opts.scratch != nullptr) {

@@ -4,7 +4,6 @@
 #include <variant>
 
 #include "mst/api/registry.hpp"
-#include "mst/baselines/bounds.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/fork_scheduler.hpp"
 #include "mst/core/spider_scheduler.hpp"
@@ -31,7 +30,6 @@ struct SolveScratch {
   ForkCountScratch fork;
   SpiderSolveScratch spider;
   TreeCoverScratch tree_cover;
-  OnePortScratch bound;  ///< spider/fork lower-bound one-port fill
 
   // Pooled schedule payloads.  A solve moves the pool into its result; the
   // caller moves it back with `recycle` once the result is consumed.

@@ -13,6 +13,9 @@
 /// invariants (e.g. "the backward construction never produces a negative
 /// first emission in makespan mode"); violations indicate a library bug and
 /// throw `std::logic_error` so tests can detect them deterministically.
+/// `MST_UNREACHABLE()` marks a point control never reaches (e.g. after a
+/// switch that returns on every enumerator); it throws the same way and,
+/// being a `[[noreturn]]` call, tells the compiler the path ends there.
 
 namespace mst::detail {
 
@@ -40,3 +43,5 @@ namespace mst::detail {
   do {                                                                \
     if (!(expr)) ::mst::detail::throw_invariant(#expr, __FILE__, __LINE__); \
   } while (false)
+
+#define MST_UNREACHABLE() ::mst::detail::throw_invariant("unreachable", __FILE__, __LINE__)

@@ -1,4 +1,4 @@
-#include "mst/baselines/bounds.hpp"
+#include "mst/core/bounds.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -4,6 +4,8 @@
 #include <limits>
 
 #include "mst/common/assert.hpp"
+#include "mst/core/bounds.hpp"
+#include "mst/core/search.hpp"
 
 namespace mst {
 
@@ -246,20 +248,19 @@ void ChainScheduler::schedule_into(const Chain& chain, const Workload& workload,
   if (!workload.has_release_dates()) return schedule_into(chain, n, scratch, out);
 
   // Minimal horizon admitting all n tasks.  The all-on-first-processor
-  // schedule shifted past the last release always fits, so the upper bound
-  // is feasible and the search is well defined; monotonicity of the count in
-  // the horizon makes it exact.
-  Time lo = 0;
-  Time hi = workload.last_release() + chain.t_infinity(n);
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (count_within(chain, mid, workload, n, scratch) >= n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  schedule_within_into(chain, lo, workload, n, scratch, out);
+  // schedule shifted past the last release always fits, so the ceiling is
+  // feasible and the search is well defined; monotonicity of the count in
+  // the horizon makes it exact.  The floor adds the release term: the last
+  // emission cannot start before the last release, and that task alone
+  // still needs a one-task makespan.
+  const Time ceiling = workload.last_release() + chain.t_infinity(n);
+  const Time lower =
+      std::max(chain_makespan_lower_bound(chain, n),
+               workload.last_release() + chain_makespan_lower_bound(chain, 1));
+  const Time horizon = min_feasible_horizon(lower, ceiling, [&](Time t) {
+    return count_within(chain, t, workload, n, scratch) >= n;
+  });
+  schedule_within_into(chain, horizon, workload, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
   // No -C^1_1 shift: release dates are absolute, the window is the schedule.
 }

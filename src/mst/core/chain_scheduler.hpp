@@ -70,9 +70,11 @@ class ChainScheduler {
   /// Workload makespan form.  Identical workloads take the `schedule(chain,
   /// n)` path above bit-for-bit.  Release dates are handled natively: tasks
   /// not yet released simply shift the earliest feasible start in the span
-  /// recurrences, i.e. the minimal horizon `T*` is found by binary search
-  /// over the release-aware decision count below and the backward
-  /// construction is anchored there.  Because release dates are absolute,
+  /// recurrences, i.e. the minimal horizon `T*` of the release-aware
+  /// decision count below is searched — seeded with the makespan lower
+  /// bound raised past the last release, and certified
+  /// (`min_feasible_horizon`, search.hpp) — and the backward construction
+  /// is anchored there.  Because release dates are absolute,
   /// the result is *not* shifted to start at 0; its makespan equals `T*`,
   /// which is optimal: the backward emissions are the componentwise-latest
   /// among all k-task schedules ending by the horizon (Lemma 4 suffix
@@ -115,7 +117,7 @@ class ChainScheduler {
   /// construction of `schedule_within` but never builds `ChainTask`s.  Returns
   /// exactly `schedule_within(chain, t_lim, cap).tasks.size()`.  With a warm
   /// `scratch` this performs zero heap allocations — the registry's
-  /// `materialize == false` fast path and the spider binary search both sit
+  /// `materialize == false` fast path and the spider horizon search both sit
   /// on it.
   static std::size_t count_within(const Chain& chain, Time t_lim, std::size_t cap,
                                   ChainCountScratch& scratch);

@@ -4,7 +4,9 @@
 #include <numeric>
 
 #include "mst/common/assert.hpp"
+#include "mst/core/bounds.hpp"
 #include "mst/core/moore_hodgson.hpp"
+#include "mst/core/search.hpp"
 #include "mst/core/virtual_nodes.hpp"
 
 namespace mst {
@@ -112,6 +114,17 @@ void append_fork_jobs(const Fork& fork, Time t_lim, std::size_t max_per_slave,
       jobs.push_back(DeadlineJob{slave.comm, t_lim - exec, jobs.size()});
     }
   }
+}
+
+/// All `n` tasks pipelined on the single best slave: a feasible horizon,
+/// the ceiling of the makespan search.
+Time single_slave_horizon(const Fork& fork, std::size_t n) {
+  Time best = kTimeInfinity;
+  for (std::size_t i = 0; i < fork.size(); ++i) {
+    const Processor& s = fork.slave(i);
+    best = std::min(best, s.comm + static_cast<Time>(n - 1) * fork.cadence(i) + s.work);
+  }
+  return best;
 }
 
 void require_uniform_sizes(const Workload& workload) {
@@ -285,49 +298,25 @@ ForkSchedule ForkScheduler::schedule(const Fork& fork, const Workload& workload)
   if (!workload.has_release_dates()) return schedule(fork, n);
 
   // Minimal horizon: the single-best-slave pipeline shifted past the last
-  // release is always feasible, so the upper bound holds.
-  Time hi = kTimeInfinity;
-  for (std::size_t i = 0; i < fork.size(); ++i) {
-    const Processor& s = fork.slave(i);
-    hi = std::min(hi, s.comm + static_cast<Time>(n - 1) * fork.cadence(i) + s.work);
-  }
-  hi += workload.last_release();
-  Time lo = 0;
+  // release is always feasible, so the ceiling holds.  The floor adds the
+  // release term: the last emission cannot start before the last release,
+  // and that task alone still needs a one-task makespan.
+  const Time ceiling = single_slave_horizon(fork, n) + workload.last_release();
   ForkCountScratch scratch;
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (count_within(fork, mid, workload, n, scratch) >= n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  ForkSchedule result = schedule_within(fork, lo, workload, n);
+  const Time lower = std::max(
+      fork_makespan_lower_bound(fork, n, scratch.bound),
+      workload.last_release() + fork_makespan_lower_bound(fork, 1, scratch.bound));
+  const Time horizon = min_feasible_horizon(
+      lower, ceiling, [&](Time t) { return count_within(fork, t, workload, n, scratch) >= n; });
+  ForkSchedule result = schedule_within(fork, horizon, workload, n);
   MST_ASSERT(result.tasks.size() == n);
   return result;
 }
 
 ForkSchedule ForkScheduler::schedule(const Fork& fork, std::size_t n) {
-  MST_REQUIRE(n >= 1, "schedule needs at least one task");
-  // Upper bound: all n tasks on the single best slave.
-  Time hi = kTimeInfinity;
-  for (std::size_t i = 0; i < fork.size(); ++i) {
-    const Processor& s = fork.slave(i);
-    const Time t = s.comm + static_cast<Time>(n - 1) * fork.cadence(i) + s.work;
-    hi = std::min(hi, t);
-  }
-  Time lo = 0;
-  // Monotone predicate: max_tasks(t) >= n.
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (max_tasks(fork, mid, n) >= n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  ForkSchedule result = schedule_within(fork, lo, n);
-  MST_ASSERT(result.tasks.size() == n);
+  ForkCountScratch scratch;
+  ForkSchedule result;
+  schedule_into(fork, n, scratch, result);
   return result;
 }
 
@@ -431,29 +420,22 @@ void ForkScheduler::schedule_within_into(const Fork& fork, Time t_lim, std::size
 }
 // mstlint: zero-alloc-end
 
-void ForkScheduler::schedule_into(const Fork& fork, std::size_t n, ForkCountScratch& scratch,
-                                  ForkSchedule& out) {
+std::size_t ForkScheduler::schedule_into(const Fork& fork, std::size_t n,
+                                         ForkCountScratch& scratch, ForkSchedule& out) {
   MST_REQUIRE(n >= 1, "schedule needs at least one task");
-  // Upper bound: all n tasks on the single best slave.
-  Time hi = kTimeInfinity;
-  for (std::size_t i = 0; i < fork.size(); ++i) {
-    const Processor& s = fork.slave(i);
-    const Time t = s.comm + static_cast<Time>(n - 1) * fork.cadence(i) + s.work;
-    hi = std::min(hi, t);
-  }
-  Time lo = 0;
-  // Same monotone predicate as `schedule(fork, n)`, probed through the one
-  // warm scratch instead of a fresh `max_tasks` scratch per probe.
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (count_within(fork, mid, n, scratch) >= n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  schedule_within_into(fork, lo, n, scratch, out);
+  // Monotone predicate `count_within(t) >= n`, probed through the one warm
+  // scratch, from the makespan lower bound up to the single-best-slave
+  // horizon.
+  const Time ceiling = single_slave_horizon(fork, n);
+  std::size_t probes = 0;
+  const Time horizon = min_feasible_horizon(
+      fork_makespan_lower_bound(fork, n, scratch.bound), ceiling, [&](Time t) {
+        ++probes;
+        return count_within(fork, t, n, scratch) >= n;
+      });
+  schedule_within_into(fork, horizon, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
+  return probes;
 }
 
 namespace {

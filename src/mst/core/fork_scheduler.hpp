@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "mst/core/bounds.hpp"
 #include "mst/core/moore_hodgson.hpp"
 #include "mst/platform/fork.hpp"
 #include "mst/schedule/fork_schedule.hpp"
@@ -39,6 +40,7 @@ struct ForkCountScratch {
   std::vector<std::size_t> counts;     ///< selected tasks per slave
   std::vector<std::pair<Time, std::size_t>> seq;  ///< (deadline, slave) sequencing
   std::vector<Time> slave_free;        ///< per-slave completion during replay
+  OnePortScratch bound;                ///< makespan lower bound seeding the search
 };
 
 class ForkScheduler {
@@ -55,7 +57,7 @@ class ForkScheduler {
   /// into `scratch.jobs` (never building node vectors) and runs the
   /// count-only Moore–Hodgson selection in `scratch.heap`.  Returns exactly
   /// `schedule_within(fork, t_lim, cap).tasks.size()`.  The makespan form's
-  /// binary search and the registry's `materialize == false` fast path run
+  /// horizon search and the registry's `materialize == false` fast path run
   /// on this.
   static std::size_t count_within(const Fork& fork, Time t_lim, std::size_t cap,
                                   ForkCountScratch& scratch);
@@ -80,12 +82,16 @@ class ForkScheduler {
   static ForkSchedule schedule_within(const Fork& fork, Time t_lim, const Workload& workload,
                                       std::size_t cap);
 
-  /// Workload makespan form: minimal horizon by binary search over the
-  /// release-aware count (absolute times; no shift).
+  /// Workload makespan form: the minimal horizon of the release-aware count
+  /// (absolute times; no shift), searched from the makespan lower bound
+  /// raised past the last release.
   static ForkSchedule schedule(const Fork& fork, const Workload& workload);
 
-  /// Makespan form: optimal schedule of exactly `n` tasks, found by binary
-  /// search on `t_lim` over the monotone decision form.
+  /// Makespan form: optimal schedule of exactly `n` tasks at the minimal
+  /// horizon `t_lim` of the monotone decision form.  The search
+  /// (`min_feasible_horizon`, search.hpp) is seeded with
+  /// `fork_makespan_lower_bound` and certified — a tight bound costs two
+  /// count probes, and the horizon found never depends on the bound.
   static ForkSchedule schedule(const Fork& fork, std::size_t n);
 
   /// Optimal makespan of `n` tasks.
@@ -111,10 +117,11 @@ class ForkScheduler {
   static void schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
                                    ForkCountScratch& scratch, ForkSchedule& out);
 
-  /// In-place twin of `schedule(fork, n)`; the binary search reuses the same
-  /// scratch for every probe instead of building one per `max_tasks` call.
-  static void schedule_into(const Fork& fork, std::size_t n, ForkCountScratch& scratch,
-                            ForkSchedule& out);
+  /// In-place form of `schedule(fork, n)` (which is this on a fresh scratch):
+  /// every search probe reuses the one scratch.  Returns the number of count
+  /// probes the horizon search made — a deterministic work count.
+  static std::size_t schedule_into(const Fork& fork, std::size_t n, ForkCountScratch& scratch,
+                                   ForkSchedule& out);
 };
 
 }  // namespace mst

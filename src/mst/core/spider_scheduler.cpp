@@ -3,8 +3,10 @@
 #include <algorithm>
 
 #include "mst/common/assert.hpp"
+#include "mst/core/bounds.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/moore_hodgson.hpp"
+#include "mst/core/search.hpp"
 
 namespace mst {
 
@@ -142,6 +144,14 @@ std::size_t SpiderScheduler::count_within(const Spider& spider, Time t_lim, std:
 
 namespace {
 
+/// All `n` tasks on the single best leg (each leg's trivial
+/// first-processor schedule): a feasible horizon, the search ceiling.
+Time single_leg_horizon(const Spider& spider, std::size_t n) {
+  Time best = kTimeInfinity;
+  for (const Chain& leg : spider.legs()) best = std::min(best, leg.t_infinity(n));
+  return best;
+}
+
 void require_uniform_sizes(const Workload& workload) {
   MST_REQUIRE(workload.uniform_sizes(),
               "the spider reduction is only optimal for identical task sizes");
@@ -243,21 +253,17 @@ SpiderSchedule SpiderScheduler::schedule(const Spider& spider, const Workload& w
   if (!workload.has_release_dates()) return schedule(spider, n);
 
   // Minimal horizon admitting every task: the single-best-leg schedule
-  // shifted past the last release always fits, so the bound is feasible.
-  Time hi = kTimeInfinity;
-  for (const Chain& leg : spider.legs()) hi = std::min(hi, leg.t_infinity(n));
-  hi += workload.last_release();
-  Time lo = 0;
+  // shifted past the last release always fits, so the ceiling is feasible.
+  // The floor adds the release term: the last emission cannot start before
+  // the last release, and that task alone still needs a one-task makespan.
+  const Time ceiling = single_leg_horizon(spider, n) + workload.last_release();
   SpiderCountScratch scratch;
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (count_within(spider, mid, workload, n, scratch) >= n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  SpiderSchedule result = schedule_within(spider, lo, workload, n);
+  const Time lower = std::max(
+      spider_makespan_lower_bound(spider, n, scratch.bound),
+      workload.last_release() + spider_makespan_lower_bound(spider, 1, scratch.bound));
+  const Time horizon = min_feasible_horizon(
+      lower, ceiling, [&](Time t) { return count_within(spider, t, workload, n, scratch) >= n; });
+  SpiderSchedule result = schedule_within(spider, horizon, workload, n);
   MST_ASSERT(result.tasks.size() == n);
   // Absolute times throughout: release dates pin the origin, so the
   // identical-path normalization shift does not apply.
@@ -265,25 +271,9 @@ SpiderSchedule SpiderScheduler::schedule(const Spider& spider, const Workload& w
 }
 
 SpiderSchedule SpiderScheduler::schedule(const Spider& spider, std::size_t n) {
-  MST_REQUIRE(n >= 1, "schedule needs at least one task");
-  // Upper bound: all n tasks on the single leg minimizing the trivial
-  // first-processor schedule.
-  Time hi = kTimeInfinity;
-  for (const Chain& leg : spider.legs()) hi = std::min(hi, leg.t_infinity(n));
-  Time lo = 0;
-  // The probes only need counts; one scratch serves the whole search.
-  SpiderCountScratch scratch;
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (count_within(spider, mid, n, scratch) >= n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  SpiderSchedule result = schedule_within(spider, lo, n);
-  MST_ASSERT(result.tasks.size() == n);
-  result.normalize();
+  SpiderSolveScratch scratch;
+  SpiderSchedule result;
+  schedule_into(spider, n, scratch, result);
   return result;
 }
 
@@ -399,24 +389,24 @@ void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim, std
 }
 // mstlint: zero-alloc-end
 
-void SpiderScheduler::schedule_into(const Spider& spider, std::size_t n,
-                                    SpiderSolveScratch& scratch, SpiderSchedule& out) {
+std::size_t SpiderScheduler::schedule_into(const Spider& spider, std::size_t n,
+                                           SpiderSolveScratch& scratch, SpiderSchedule& out) {
   MST_REQUIRE(n >= 1, "schedule needs at least one task");
-  Time hi = kTimeInfinity;
-  for (const Chain& leg : spider.legs()) hi = std::min(hi, leg.t_infinity(n));
-  Time lo = 0;
-  // Same monotone predicate as `schedule(spider, n)`, on the shared scratch.
-  while (lo < hi) {
-    const Time mid = lo + (hi - lo) / 2;
-    if (count_within(spider, mid, n, scratch.count) >= n) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  schedule_within_into(spider, lo, n, scratch, out);
+  // Monotone predicate `count_within(t) >= n` on the shared count scratch,
+  // from the makespan lower bound up to the single-best-leg horizon.
+  // The ceiling goes first: `t_infinity` rejects an `n` outside the numeric
+  // domain before the bound's arithmetic could overflow.
+  const Time ceiling = single_leg_horizon(spider, n);
+  std::size_t probes = 0;
+  const Time horizon = min_feasible_horizon(
+      spider_makespan_lower_bound(spider, n, scratch.count.bound), ceiling, [&](Time t) {
+        ++probes;
+        return count_within(spider, t, n, scratch.count) >= n;
+      });
+  schedule_within_into(spider, horizon, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
   out.normalize();
+  return probes;
 }
 
 }  // namespace mst

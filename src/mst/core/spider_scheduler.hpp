@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "mst/core/bounds.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/moore_hodgson.hpp"
 #include "mst/core/virtual_nodes.hpp"
@@ -27,9 +28,11 @@
 ///       backward construction (Lemma 4) — with master emissions moved to
 ///       the (earlier) times chosen in step (3), which is feasible by
 ///       Lemma 3.
-/// The makespan form binary-searches `T_lim` over the monotone decision
-/// form; total complexity stays polynomial (Theorem 2) and the result is
-/// optimal (Theorem 3).
+/// The makespan form searches the minimal `T_lim` of the monotone decision
+/// form, seeded with `spider_makespan_lower_bound` and certified
+/// (`min_feasible_horizon`, search.hpp): a tight bound costs two count
+/// probes, and the horizon never depends on the bound.  Total complexity
+/// stays polynomial (Theorem 2) and the result is optimal (Theorem 3).
 
 namespace mst {
 
@@ -54,13 +57,14 @@ struct SpiderCountScratch {
   std::vector<DeadlineJob> jobs;    ///< the fork-graph instance
   std::vector<Time> heap;           ///< Moore–Hodgson selection heap
   std::vector<Time> dp;             ///< positional-release selection DP row
+  OnePortScratch bound;             ///< makespan lower bound seeding the search
 };
 
 /// Reusable buffers for the scratch-reusing materializing path
 /// (`schedule_into` / `schedule_within_into`).  Extends the counting scratch
 /// with pooled per-leg decision schedules and the step (3)–(4) working sets.
 struct SpiderSolveScratch {
-  SpiderCountScratch count;          ///< binary-search probes + leg builds
+  SpiderCountScratch count;          ///< horizon-search probes + leg builds
   std::vector<ChainSchedule> legs;   ///< pooled leg decision schedules
   std::vector<DeadlineJob> jobs;     ///< node instance in `transform` order
   std::vector<std::pair<Time, std::size_t>> sel_heap;  ///< (comm, id) eviction heap
@@ -87,7 +91,7 @@ class SpiderScheduler {
   /// count-only Moore–Hodgson selection entirely in `scratch`, never
   /// materializing leg schedules or virtual-node vectors.  Returns exactly
   /// `schedule_within(spider, t_lim, cap).tasks.size()`.  Both the makespan
-  /// form's binary search and the registry's `materialize == false` fast
+  /// form's horizon search and the registry's `materialize == false` fast
   /// path run on this.
   static std::size_t count_within(const Spider& spider, Time t_lim, std::size_t cap,
                                   SpiderCountScratch& scratch);
@@ -114,9 +118,10 @@ class SpiderScheduler {
   static SpiderSchedule schedule_within(const Spider& spider, Time t_lim,
                                         const Workload& workload, std::size_t cap);
 
-  /// Workload makespan form: binary search of the minimal horizon over the
-  /// release-aware count; the result keeps absolute times (no
-  /// normalization — release dates pin the origin).
+  /// Workload makespan form: the minimal horizon of the release-aware count,
+  /// searched from the makespan lower bound raised past the last release;
+  /// the result keeps absolute times (no normalization — release dates pin
+  /// the origin).
   static SpiderSchedule schedule(const Spider& spider, const Workload& workload);
 
   // -------------------------------------------------------------------------
@@ -132,9 +137,11 @@ class SpiderScheduler {
   static void schedule_within_into(const Spider& spider, Time t_lim, std::size_t cap,
                                    SpiderSolveScratch& scratch, SpiderSchedule& out);
 
-  /// In-place twin of `schedule(spider, n)` (binary search + normalize).
-  static void schedule_into(const Spider& spider, std::size_t n, SpiderSolveScratch& scratch,
-                            SpiderSchedule& out);
+  /// In-place form of `schedule(spider, n)` (which is this on a fresh
+  /// scratch): horizon search, build, normalize.  Returns the number of
+  /// count probes the search made — a deterministic work count.
+  static std::size_t schedule_into(const Spider& spider, std::size_t n,
+                                   SpiderSolveScratch& scratch, SpiderSchedule& out);
 };
 
 }  // namespace mst

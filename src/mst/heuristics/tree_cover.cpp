@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "mst/baselines/bounds.hpp"
 #include "mst/common/assert.hpp"
+#include "mst/core/bounds.hpp"
 
 namespace mst {
 

@@ -40,15 +40,16 @@
 #include "mst/schedule/schedule_io.hpp"
 #include "mst/schedule/svg.hpp"
 
+#include "mst/core/bounds.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/core/chain_trace.hpp"
 #include "mst/core/fork_scheduler.hpp"
 #include "mst/core/moore_hodgson.hpp"
+#include "mst/core/search.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/core/virtual_nodes.hpp"
 
 #include "mst/baselines/asap.hpp"
-#include "mst/baselines/bounds.hpp"
 #include "mst/baselines/brute_force.hpp"
 #include "mst/baselines/forward_greedy.hpp"
 #include "mst/baselines/round_robin.hpp"

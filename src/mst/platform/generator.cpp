@@ -49,7 +49,7 @@ Processor random_processor(Rng& rng, const GeneratorParams& params) {
       return {c, base};
     }
   }
-  MST_ASSERT(false);
+  MST_UNREACHABLE();
 }
 
 Chain random_chain(Rng& rng, std::size_t p, const GeneratorParams& params) {

@@ -4,8 +4,8 @@
 
 #include <cmath>
 
-#include "mst/baselines/bounds.hpp"
 #include "mst/common/rng.hpp"
+#include "mst/core/bounds.hpp"
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/heuristics/tree_cover.hpp"
 #include "mst/heuristics/tree_schedule.hpp"

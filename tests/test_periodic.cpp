@@ -5,9 +5,9 @@
 
 #include <cmath>
 
-#include "mst/baselines/bounds.hpp"
 #include "mst/baselines/periodic.hpp"
 #include "mst/common/rng.hpp"
+#include "mst/core/bounds.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/schedule/feasibility.hpp"

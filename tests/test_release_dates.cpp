@@ -230,6 +230,9 @@ TEST(ReleaseDates, RegistryGatesUnsupportedWorkloads) {
 }
 
 TEST(ReleaseDates, RegistryReleasedResultsAreOptimalAndFeasible) {
+  // Only the chain's released construction is exact; the fork/spider
+  // positional-release selection is feasible but beatable, so those entries
+  // must not claim optimality.
   Rng rng(707);
   for (int trial = 0; trial < 10; ++trial) {
     Rng inst = rng.split();
@@ -241,8 +244,9 @@ TEST(ReleaseDates, RegistryReleasedResultsAreOptimalAndFeasible) {
     };
     const Workload workload = random_released(rng, 6, 20);
     for (const api::Platform& platform : platforms) {
+      const bool exact = api::kind_of(platform) == api::PlatformKind::kChain;
       const api::SolveResult result = api::registry().solve(platform, "optimal", workload);
-      EXPECT_TRUE(result.optimal);
+      EXPECT_EQ(result.optimal, exact) << api::describe(platform);
       EXPECT_EQ(result.tasks, 6u);
       EXPECT_EQ(result.workload, workload);
       const FeasibilityReport report = api::check_feasibility(result);
@@ -255,7 +259,7 @@ TEST(ReleaseDates, RegistryReleasedResultsAreOptimalAndFeasible) {
       const api::DecisionResult within =
           api::registry().solve_within(platform, "optimal", result.makespan, pooled);
       EXPECT_EQ(within.tasks, 6u) << api::describe(platform);
-      EXPECT_TRUE(within.optimal);
+      EXPECT_EQ(within.optimal, exact) << api::describe(platform);
       const FeasibilityReport within_report = api::check_feasibility(within);
       EXPECT_TRUE(within_report.ok()) << within_report.summary();
       EXPECT_EQ(api::registry().max_tasks(platform, "optimal", result.makespan, pooled), 6u);

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "mst/analysis/throughput.hpp"
-#include "mst/baselines/bounds.hpp"
 #include "mst/common/rng.hpp"
+#include "mst/core/bounds.hpp"
 #include "mst/core/chain_scheduler.hpp"
 #include "mst/platform/generator.hpp"
 
