@@ -638,23 +638,6 @@ void count_search_probes(obs::MetricsRegistry* metrics, std::size_t probes) {
   metrics->counter("core.search.probes").add(static_cast<std::int64_t>(probes));
 }
 
-// Count-path scratch: the caller's SolveScratch when one was threaded
-// through the options, else a per-thread fallback.  `thread_local` is the
-// fallback's whole thread-safety story — each pool worker owns its scratch
-// outright, so the handoff into count_within needs no lock (and the
-// shared-mutable-state lint exempts it).
-ForkCountScratch& fork_count_scratch(const SolveOptions& options) {
-  if (options.scratch != nullptr) return options.scratch->fork;
-  static thread_local ForkCountScratch fallback;
-  return fallback;
-}
-
-SpiderCountScratch& spider_count_scratch(const SolveOptions& options) {
-  if (options.scratch != nullptr) return options.scratch->spider.count;
-  static thread_local SpiderCountScratch fallback;
-  return fallback;
-}
-
 /// Decision form of the exhaustive oracles: exact count from the monotone
 /// makespan staircase, optionally materialized as the optimal schedule of
 /// that count (its makespan fits the window by definition of the count).
@@ -902,26 +885,18 @@ void register_fork_algorithms(Registry& r) {
                 "optimal", k, deadline, /*optimal=*/false, cap, pool,
                 ForkScheduler::schedule_within(fork, deadline, *pool, decision_cap(opts)));
           }
+          Work work(opts, &SolveScratch::fork, &SolveScratch::fork_pool);
           if (!opts.materialize) {
-            // Allocation-free count + makespan: the whole selection /
-            // normalization / EDD sequencing pipeline replayed in warm
-            // scratch (caller-provided or per-thread), no task vectors
-            // built.
-            ForkCountScratch& scratch = fork_count_scratch(opts);
+            // Count + makespan without building task vectors: the same
+            // selection, trim and EDD sequencing as the materializing path.
             const auto [tasks, makespan] =
-                ForkScheduler::makespan_within(fork, deadline, cap, scratch);
+                ForkScheduler::makespan_within(fork, deadline, cap, work.scratch);
             return make_decision("optimal", k, deadline, tasks, makespan,
                                  /*optimal=*/decision_maximal(tasks, cap, pool), {});
           }
-          if (opts.scratch != nullptr) {
-            ForkSchedule& pooled = opts.scratch->fork_pool;
-            ForkScheduler::schedule_within_into(fork, deadline, cap, opts.scratch->fork, pooled);
-            return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
-                                        pooled);
-          }
-          return decision_from_schedule(
-              "optimal", k, deadline, /*optimal=*/true, cap, pool,
-              ForkScheduler::schedule_within(fork, deadline, cap));
+          ForkScheduler::schedule_within_into(fork, deadline, cap, work.scratch, work.pool);
+          return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
+                                      work.pool);
         });
   r.add({k, "greedy", "the paper's ascending-c greedy (Beaumont et al.)", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
@@ -1012,12 +987,13 @@ void register_spider_algorithms(Registry& r) {
           const std::size_t cap = decision_cap(opts, pool);
           // A released pool is not proven maximal: see the fork entry.
           const bool released = pool != nullptr && pool->has_release_dates();
+          Work work(opts, &SolveScratch::spider, &SolveScratch::spider_pool);
           if (!opts.materialize) {
-            // Allocation-free counting (per-leg backward count + count-only
+            // Counting only (per-leg backward count + the run-kernel
             // selection, positional-release DP when the pool has release
             // dates); any kept leg's latest task ends at the horizon, so a
             // nonempty count completes exactly at `deadline`.
-            SpiderCountScratch& scratch = spider_count_scratch(opts);
+            SpiderCountScratch& scratch = work.scratch.count;
             const std::size_t tasks =
                 released ? SpiderScheduler::count_within(spider, deadline, *pool,
                                                          decision_cap(opts), scratch)
@@ -1031,16 +1007,9 @@ void register_spider_algorithms(Registry& r) {
                 "optimal", k, deadline, /*optimal=*/false, cap, pool,
                 SpiderScheduler::schedule_within(spider, deadline, *pool, decision_cap(opts)));
           }
-          if (opts.scratch != nullptr) {
-            SpiderSchedule& pooled = opts.scratch->spider_pool;
-            SpiderScheduler::schedule_within_into(spider, deadline, cap, opts.scratch->spider,
-                                                  pooled);
-            return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
-                                        pooled);
-          }
-          return decision_from_schedule(
-              "optimal", k, deadline, /*optimal=*/true, cap, pool,
-              SpiderScheduler::schedule_within(spider, deadline, cap));
+          SpiderScheduler::schedule_within_into(spider, deadline, cap, work.scratch, work.pool);
+          return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
+                                      work.pool);
         });
   r.add({k, "forward-greedy", "earliest-completion-time list scheduling", /*optimal=*/false,
          /*exponential=*/false, kSizesAndRelease},

@@ -13,96 +13,40 @@ namespace mst {
 
 namespace {
 
-/// Realize a per-slave task-count vector as an actual fork schedule: slave
-/// `i` with count `k` uses its virtual nodes of ranks `0..k-1` (Fig 6),
-/// emissions run EDD back-to-back from 0, executions queue FIFO per slave.
-ForkSchedule realize(const Fork& fork, Time t_lim, const std::vector<std::size_t>& counts) {
-  struct Pending {
-    std::size_t slave;
-    Time deadline;  // emission completion deadline: t_lim - exec
-  };
-  std::vector<Pending> pending;
+/// All `n` tasks pipelined on the single best slave: a feasible horizon,
+/// the ceiling of the makespan search.  It also states the fork's numeric
+/// domain: every slave's pipeline `c + (n−1)·max(c, w) + w` is computed
+/// overflow-checked and must stay below `kTimeInfinity` — the bound
+/// `Chain::t_infinity` puts on each leg of this star's spider form — so an
+/// out-of-domain fork is refused here, before any bound or probe arithmetic.
+Time single_slave_horizon(const Fork& fork, std::size_t n) {
+  Time best = kTimeInfinity;
   for (std::size_t i = 0; i < fork.size(); ++i) {
-    const auto nodes = expand_fork_slave(fork.slave(i), i, t_lim, counts[i]);
-    MST_ASSERT(nodes.size() == counts[i]);
-    for (const VirtualNode& node : nodes) pending.push_back({i, node.deadline(t_lim)});
+    const Processor& s = fork.slave(i);
+    Time t = 0;
+    const bool overflow = __builtin_mul_overflow(n - 1, fork.cadence(i), &t) ||
+                          __builtin_add_overflow(t, s.comm, &t) ||
+                          __builtin_add_overflow(t, s.work, &t);
+    MST_REQUIRE(!overflow && t < kTimeInfinity,
+                "fork ceiling: every slave's pipeline c + (n-1)*max(c,w) + w must stay below "
+                "kTimeInfinity");
+    best = std::min(best, t);
   }
-  std::sort(pending.begin(), pending.end(), [](const Pending& a, const Pending& b) {
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-    return a.slave < b.slave;
-  });
-
-  ForkSchedule schedule{fork, {}};
-  std::vector<Time> slave_free(fork.size(), 0);
-  Time port = 0;
-  for (const Pending& item : pending) {
-    const Processor& slave = fork.slave(item.slave);
-    const Time emission = port;
-    port += slave.comm;
-    MST_ASSERT(port <= item.deadline);
-    const Time arrival = emission + slave.comm;
-    const Time start = std::max(arrival, slave_free[item.slave]);
-    slave_free[item.slave] = start + slave.work;
-    MST_ASSERT(slave_free[item.slave] <= t_lim);
-    schedule.tasks.push_back(ForkTask{item.slave, emission, start});
-  }
-  return schedule;
+  return best;
 }
 
-}  // namespace
-
-ForkSchedule ForkScheduler::schedule_within(const Fork& fork, Time t_lim, std::size_t cap) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  const std::vector<VirtualNode> nodes = expand_fork(fork, t_lim, cap);
-
-  // Optimal node selection on the master port.
-  std::vector<DeadlineJob> jobs;
-  jobs.reserve(nodes.size());
-  for (std::size_t idx = 0; idx < nodes.size(); ++idx) {
-    jobs.push_back({nodes[idx].comm, nodes[idx].deadline(t_lim), idx});
-  }
-  std::vector<std::size_t> picked = moore_hodgson(std::move(jobs));
-
-  // Normalize per slave to the smallest-exec prefix; only counts matter.
-  std::vector<std::size_t> counts(fork.size(), 0);
-  for (std::size_t idx : picked) ++counts[nodes[idx].source];
-
-  // Global cap: Moore–Hodgson sees `cap` nodes per slave, so the total can
-  // exceed `cap`; trim greedily from the slaves whose *next removed* node is
-  // the hardest (largest exec) — removal never breaks feasibility.
-  std::size_t total = std::accumulate(counts.begin(), counts.end(), std::size_t{0});
-  while (total > cap) {
-    std::size_t worst = fork.size();
-    Time worst_exec = -1;
-    for (std::size_t i = 0; i < fork.size(); ++i) {
-      if (counts[i] == 0) continue;
-      const Time exec =
-          fork.slave(i).work + static_cast<Time>(counts[i] - 1) * fork.cadence(i);
-      if (exec > worst_exec) {
-        worst_exec = exec;
-        worst = i;
-      }
-    }
-    MST_ASSERT(worst < fork.size());
-    --counts[worst];
-    --total;
-  }
-
-  return realize(fork, t_lim, counts);
+void require_uniform_sizes(const Workload& workload) {
+  MST_REQUIRE(workload.uniform_sizes(),
+              "the virtual-node selection is only optimal for identical task sizes");
 }
 
-std::size_t ForkScheduler::max_tasks(const Fork& fork, Time t_lim, std::size_t cap) {
-  ForkCountScratch scratch;
-  return count_within(fork, t_lim, cap, scratch);
-}
-
-namespace {
+// Everything below runs warm-scratch only — statically allocation-checked
+// (dynamic twins: tests/test_counting.cpp and tests/test_zero_alloc.cpp).
+// mstlint: zero-alloc
 
 /// Appends the Fig 6 virtual nodes of every slave to `jobs` without
 /// materializing per-slave vectors (same node set as `expand_fork`, ids in
-/// the same order).  The counting paths below run warm-scratch only —
-/// statically allocation-checked (dynamic twin: tests/test_counting.cpp).
-// mstlint: zero-alloc
+/// the same order) — the positional-release selection's input.
 void append_fork_jobs(const Fork& fork, Time t_lim, std::size_t max_per_slave,
                       std::vector<DeadlineJob>& jobs) {
   for (std::size_t i = 0; i < fork.size(); ++i) {
@@ -116,111 +60,73 @@ void append_fork_jobs(const Fork& fork, Time t_lim, std::size_t max_per_slave,
   }
 }
 
-/// All `n` tasks pipelined on the single best slave: a feasible horizon,
-/// the ceiling of the makespan search.
-Time single_slave_horizon(const Fork& fork, std::size_t n) {
-  Time best = kTimeInfinity;
-  for (std::size_t i = 0; i < fork.size(); ++i) {
-    const Processor& s = fork.slave(i);
-    best = std::min(best, s.comm + static_cast<Time>(n - 1) * fork.cadence(i) + s.work);
-  }
-  return best;
-}
-
-void require_uniform_sizes(const Workload& workload) {
-  MST_REQUIRE(workload.uniform_sizes(),
-              "the virtual-node selection is only optimal for identical task sizes");
-}
-
-}  // namespace
-
-std::size_t ForkScheduler::count_within(const Fork& fork, Time t_lim, std::size_t cap,
-                                        ForkCountScratch& scratch) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  // The counting twin of `schedule_within`: identical node set, count-only
-  // selection, and the same global cap (Moore–Hodgson sees up to `cap`
-  // nodes per slave, so the picked total may exceed it; the materializing
-  // path trims — which only ever reduces the total to `cap` — so `min`
-  // reproduces it).
-  scratch.jobs.clear();
-  append_fork_jobs(fork, t_lim, cap, scratch.jobs);
-  return std::min(moore_hodgson_count(scratch.jobs, scratch.heap), cap);
-}
-
-std::pair<std::size_t, Time> ForkScheduler::makespan_within(const Fork& fork, Time t_lim,
-                                                            std::size_t cap,
-                                                            ForkCountScratch& scratch) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  // (1) Node instance with an id → slave map.
-  scratch.jobs.clear();
-  scratch.slave_of.clear();
+/// One selection pass at `t_lim`: every slave is one run of the kernel —
+/// its virtual nodes `q = 0..k−1` (Fig 6; `k` capped at `cap`, and only
+/// nodes with `exec + c <= t_lim`) have deadlines `t_lim − w − q·m`, listed
+/// here in ascending order.  Leaves the per-slave counts in
+/// `scratch.counts` and returns their total.
+std::size_t select_nodes(const Fork& fork, Time t_lim, std::size_t cap,
+                         ForkCountScratch& scratch) {
+  scratch.deadlines.clear();
+  scratch.runs.clear();
   for (std::size_t i = 0; i < fork.size(); ++i) {
     const Processor& slave = fork.slave(i);
-    const Time m = std::max(slave.comm, slave.work);
-    for (std::size_t q = 0; q < cap; ++q) {
-      const Time exec = slave.work + static_cast<Time>(q) * m;
-      if (exec + slave.comm > t_lim) break;
-      scratch.jobs.push_back(DeadlineJob{slave.comm, t_lim - exec, scratch.jobs.size()});
-      scratch.slave_of.push_back(i);
+    const Time m = fork.cadence(i);
+    std::size_t k = 0;
+    if (slave.comm <= t_lim && slave.work <= t_lim - slave.comm) {
+      const Time slack = t_lim - slave.comm - slave.work;  // room for q·m
+      k = std::min(cap, static_cast<std::size_t>(slack / m) + 1);
     }
-  }
-
-  // (2) Moore–Hodgson with identities, mirroring `moore_hodgson` exactly:
-  // EDD order (deadline, proc_time, id) and eviction of the max (proc, id).
-  std::sort(scratch.jobs.begin(), scratch.jobs.end(),
-            [](const DeadlineJob& a, const DeadlineJob& b) {
-              if (a.deadline != b.deadline) return a.deadline < b.deadline;
-              if (a.proc_time != b.proc_time) return a.proc_time < b.proc_time;
-              return a.id < b.id;
-            });
-  scratch.sel_heap.clear();
-  Time total = 0;
-  for (const DeadlineJob& job : scratch.jobs) {
-    scratch.sel_heap.emplace_back(job.proc_time, job.id);
-    std::push_heap(scratch.sel_heap.begin(), scratch.sel_heap.end());
-    total += job.proc_time;
-    if (total > job.deadline) {
-      std::pop_heap(scratch.sel_heap.begin(), scratch.sel_heap.end());
-      total -= scratch.sel_heap.back().first;
-      scratch.sel_heap.pop_back();
+    const std::size_t begin = scratch.deadlines.size();
+    for (std::size_t q = k; q-- > 0;) {
+      scratch.deadlines.push_back(t_lim - slave.work - static_cast<Time>(q) * m);
     }
+    scratch.runs.push_back(JobRun{slave.comm, begin, scratch.deadlines.size()});
   }
+  ++scratch.selections;
+  return moore_hodgson_runs(scratch.runs, scratch.deadlines, scratch.select, scratch.counts);
+}
 
-  // (3) Per-slave counts (the prefix normalization is count-preserving) and
-  // the same global-cap trim as `schedule_within`.
-  scratch.counts.assign(fork.size(), 0);
-  for (const auto& [comm, id] : scratch.sel_heap) ++scratch.counts[scratch.slave_of[id]];
-  std::size_t selected = scratch.sel_heap.size();
-  while (selected > cap) {
+/// Global cap: the selection sees `cap` nodes per slave, so its total can
+/// exceed `cap`; trim greedily from the slaves whose *next removed* node is
+/// the hardest (largest exec) — removal never breaks feasibility.
+void trim_to_cap(const Fork& fork, std::size_t cap, std::vector<std::size_t>& counts) {
+  for (std::size_t total = std::accumulate(counts.begin(), counts.end(), std::size_t{0});
+       total > cap; --total) {
     std::size_t worst = fork.size();
     Time worst_exec = -1;
     for (std::size_t i = 0; i < fork.size(); ++i) {
-      if (scratch.counts[i] == 0) continue;
-      const Time exec =
-          fork.slave(i).work + static_cast<Time>(scratch.counts[i] - 1) * fork.cadence(i);
+      if (counts[i] == 0) continue;
+      const Time exec = fork.slave(i).work + static_cast<Time>(counts[i] - 1) * fork.cadence(i);
       if (exec > worst_exec) {
         worst_exec = exec;
         worst = i;
       }
     }
     MST_ASSERT(worst < fork.size());
-    --scratch.counts[worst];
-    --selected;
+    --counts[worst];
   }
+}
 
-  // (4) The EDD port sequencing of `realize`, makespan only.
+/// Realizes per-slave counts: slave `i` with count `k` uses its virtual
+/// nodes of ranks `0..k−1` (Fig 6, the smallest-exec prefix — a pure
+/// deadline relaxation of any selection with the same counts), emissions run
+/// EDD back-to-back from 0 by (deadline, slave) — a total order, exec values
+/// being distinct per slave (`w > 0`) — and executions queue FIFO per slave.
+/// Calls `emit(slave, emission, start)` per task in emission order.
+template <typename Emit>
+void sequence(const Fork& fork, Time t_lim, const std::vector<std::size_t>& counts,
+              ForkCountScratch& scratch, Emit&& emit) {
   scratch.seq.clear();
   for (std::size_t i = 0; i < fork.size(); ++i) {
     const Processor& slave = fork.slave(i);
-    const Time m = std::max(slave.comm, slave.work);
-    for (std::size_t q = 0; q < scratch.counts[i]; ++q) {
-      scratch.seq.emplace_back(t_lim - (slave.work + static_cast<Time>(q) * m), i);
+    for (std::size_t q = 0; q < counts[i]; ++q) {
+      scratch.seq.emplace_back(t_lim - (slave.work + static_cast<Time>(q) * fork.cadence(i)), i);
     }
   }
   std::sort(scratch.seq.begin(), scratch.seq.end());
   scratch.slave_free.assign(fork.size(), 0);
   Time port = 0;
-  Time makespan = 0;
   for (const auto& [deadline, slave_index] : scratch.seq) {
     const Processor& slave = fork.slave(slave_index);
     const Time emission = port;
@@ -230,9 +136,52 @@ std::pair<std::size_t, Time> ForkScheduler::makespan_within(const Fork& fork, Ti
     const Time start = std::max(arrival, scratch.slave_free[slave_index]);
     scratch.slave_free[slave_index] = start + slave.work;
     MST_ASSERT(scratch.slave_free[slave_index] <= t_lim);
-    makespan = std::max(makespan, scratch.slave_free[slave_index]);
+    emit(slave_index, emission, start);
   }
+}
+
+/// Rebuilds `out` in place from per-slave counts — `ForkTask` is trivially
+/// destructible, so clear()+push_back never touches the heap within warm
+/// capacity.
+void realize_into(const Fork& fork, Time t_lim, const std::vector<std::size_t>& counts,
+                  ForkCountScratch& scratch, ForkSchedule& out) {
+  out.fork = fork;  // copy-assign reuses the slave buffer when warm
+  out.tasks.clear();
+  sequence(fork, t_lim, counts, scratch, [&](std::size_t slave, Time emission, Time start) {
+    out.tasks.push_back(ForkTask{slave, emission, start});
+  });
+}
+
+}  // namespace
+
+std::size_t ForkScheduler::count_within(const Fork& fork, Time t_lim, std::size_t cap,
+                                        ForkCountScratch& scratch) {
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  // The cap trim only ever reduces the total to `cap`, so `min` reproduces
+  // the materialized count.
+  return std::min(select_nodes(fork, t_lim, cap, scratch), cap);
+}
+
+std::pair<std::size_t, Time> ForkScheduler::makespan_within(const Fork& fork, Time t_lim,
+                                                            std::size_t cap,
+                                                            ForkCountScratch& scratch) {
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  const std::size_t selected = std::min(select_nodes(fork, t_lim, cap, scratch), cap);
+  trim_to_cap(fork, cap, scratch.counts);
+  Time makespan = 0;
+  sequence(fork, t_lim, scratch.counts, scratch,
+           [&](std::size_t slave, Time, Time start) {
+             makespan = std::max(makespan, start + fork.slave(slave).work);
+           });
   return {selected, makespan};
+}
+
+void ForkScheduler::schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
+                                         ForkCountScratch& scratch, ForkSchedule& out) {
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  select_nodes(fork, t_lim, cap, scratch);
+  trim_to_cap(fork, cap, scratch.counts);
+  realize_into(fork, t_lim, scratch.counts, scratch, out);
 }
 
 std::size_t ForkScheduler::count_within(const Fork& fork, Time t_lim, const Workload& workload,
@@ -245,7 +194,50 @@ std::size_t ForkScheduler::count_within(const Fork& fork, Time t_lim, const Work
   append_fork_jobs(fork, t_lim, k_cap, scratch.jobs);
   return moore_hodgson_released_count(scratch.jobs, workload.releases(), k_cap, scratch.dp);
 }
+
+std::size_t ForkScheduler::schedule_into(const Fork& fork, std::size_t n,
+                                         ForkCountScratch& scratch, ForkSchedule& out) {
+  MST_REQUIRE(n >= 1, "schedule needs at least one task");
+  // Monotone predicate `count_within(t) >= n`, probed through the one warm
+  // scratch, from the makespan lower bound up to the single-best-slave
+  // horizon.  Every feasible probe lies below the previous ones, and the
+  // search returns the last of them unless it returns the unprobed
+  // ceiling, so keeping each feasible probe's counts leaves the returned
+  // horizon's selection in `scratch.kept` — no second pass.
+  const Time ceiling = single_slave_horizon(fork, n);
+  std::size_t probes = 0;
+  Time kept = -1;
+  const Time horizon = min_feasible_horizon(
+      fork_makespan_lower_bound(fork, n, scratch.bound), ceiling, [&](Time t) {
+        ++probes;
+        if (count_within(fork, t, n, scratch) < n) return false;
+        std::swap(scratch.counts, scratch.kept);
+        kept = t;
+        return true;
+      });
+  if (kept == horizon) {
+    std::swap(scratch.counts, scratch.kept);
+  } else {
+    select_nodes(fork, horizon, n, scratch);
+  }
+  trim_to_cap(fork, n, scratch.counts);
+  realize_into(fork, horizon, scratch.counts, scratch, out);
+  MST_ASSERT(out.tasks.size() == n);
+  return probes;
+}
 // mstlint: zero-alloc-end
+
+ForkSchedule ForkScheduler::schedule_within(const Fork& fork, Time t_lim, std::size_t cap) {
+  ForkCountScratch scratch;
+  ForkSchedule out;
+  schedule_within_into(fork, t_lim, cap, scratch, out);
+  return out;
+}
+
+std::size_t ForkScheduler::max_tasks(const Fork& fork, Time t_lim, std::size_t cap) {
+  ForkCountScratch scratch;
+  return count_within(fork, t_lim, cap, scratch);
+}
 
 ForkSchedule ForkScheduler::schedule_within(const Fork& fork, Time t_lim,
                                             const Workload& workload, std::size_t cap) {
@@ -324,120 +316,6 @@ Time ForkScheduler::makespan(const Fork& fork, std::size_t n) {
   return schedule(fork, n).makespan();
 }
 
-// Scratch-reusing materialization.  Steps (1)–(3) are the `makespan_within`
-// pipeline verbatim (same selection, same trim); step (4) rebuilds
-// `out.tasks` in place — `ForkTask` is trivially destructible, so
-// clear()+push_back never touches the heap within warm capacity.  Equality
-// with `schedule_within` holds because `realize`'s pending list is the same
-// (deadline, slave) multiset as `scratch.seq` — per slave the ranks
-// `0..counts-1` with deadline `t_lim - exec` — sorted by the same key, and
-// exec values are distinct per slave (work > 0), so the order is total.
-// mstlint: zero-alloc
-void ForkScheduler::schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
-                                         ForkCountScratch& scratch, ForkSchedule& out) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  // (1) Node instance with an id → slave map.
-  scratch.jobs.clear();
-  scratch.slave_of.clear();
-  for (std::size_t i = 0; i < fork.size(); ++i) {
-    const Processor& slave = fork.slave(i);
-    const Time m = std::max(slave.comm, slave.work);
-    for (std::size_t q = 0; q < cap; ++q) {
-      const Time exec = slave.work + static_cast<Time>(q) * m;
-      if (exec + slave.comm > t_lim) break;
-      scratch.jobs.push_back(DeadlineJob{slave.comm, t_lim - exec, scratch.jobs.size()});
-      scratch.slave_of.push_back(i);
-    }
-  }
-
-  // (2) Moore–Hodgson with identities, mirroring `moore_hodgson` exactly.
-  std::sort(scratch.jobs.begin(), scratch.jobs.end(),
-            [](const DeadlineJob& a, const DeadlineJob& b) {
-              if (a.deadline != b.deadline) return a.deadline < b.deadline;
-              if (a.proc_time != b.proc_time) return a.proc_time < b.proc_time;
-              return a.id < b.id;
-            });
-  scratch.sel_heap.clear();
-  Time total = 0;
-  for (const DeadlineJob& job : scratch.jobs) {
-    scratch.sel_heap.emplace_back(job.proc_time, job.id);
-    std::push_heap(scratch.sel_heap.begin(), scratch.sel_heap.end());
-    total += job.proc_time;
-    if (total > job.deadline) {
-      std::pop_heap(scratch.sel_heap.begin(), scratch.sel_heap.end());
-      total -= scratch.sel_heap.back().first;
-      scratch.sel_heap.pop_back();
-    }
-  }
-
-  // (3) Per-slave counts and the global-cap trim of `schedule_within`.
-  scratch.counts.assign(fork.size(), 0);
-  for (const auto& [comm, id] : scratch.sel_heap) ++scratch.counts[scratch.slave_of[id]];
-  std::size_t selected = scratch.sel_heap.size();
-  while (selected > cap) {
-    std::size_t worst = fork.size();
-    Time worst_exec = -1;
-    for (std::size_t i = 0; i < fork.size(); ++i) {
-      if (scratch.counts[i] == 0) continue;
-      const Time exec =
-          fork.slave(i).work + static_cast<Time>(scratch.counts[i] - 1) * fork.cadence(i);
-      if (exec > worst_exec) {
-        worst_exec = exec;
-        worst = i;
-      }
-    }
-    MST_ASSERT(worst < fork.size());
-    --scratch.counts[worst];
-    --selected;
-  }
-
-  // (4) The EDD port sequencing of `realize`, materialized in place.
-  scratch.seq.clear();
-  for (std::size_t i = 0; i < fork.size(); ++i) {
-    const Processor& slave = fork.slave(i);
-    const Time m = std::max(slave.comm, slave.work);
-    for (std::size_t q = 0; q < scratch.counts[i]; ++q) {
-      scratch.seq.emplace_back(t_lim - (slave.work + static_cast<Time>(q) * m), i);
-    }
-  }
-  std::sort(scratch.seq.begin(), scratch.seq.end());
-  out.fork = fork;  // copy-assign reuses the slave buffer when warm
-  out.tasks.clear();
-  scratch.slave_free.assign(fork.size(), 0);
-  Time port = 0;
-  for (const auto& [deadline, slave_index] : scratch.seq) {
-    const Processor& slave = fork.slave(slave_index);
-    const Time emission = port;
-    port += slave.comm;
-    MST_ASSERT(port <= deadline);
-    const Time arrival = emission + slave.comm;
-    const Time start = std::max(arrival, scratch.slave_free[slave_index]);
-    scratch.slave_free[slave_index] = start + slave.work;
-    MST_ASSERT(scratch.slave_free[slave_index] <= t_lim);
-    out.tasks.push_back(ForkTask{slave_index, emission, start});
-  }
-  MST_ASSERT(out.tasks.size() == selected);
-}
-// mstlint: zero-alloc-end
-
-std::size_t ForkScheduler::schedule_into(const Fork& fork, std::size_t n,
-                                         ForkCountScratch& scratch, ForkSchedule& out) {
-  MST_REQUIRE(n >= 1, "schedule needs at least one task");
-  // Monotone predicate `count_within(t) >= n`, probed through the one warm
-  // scratch, from the makespan lower bound up to the single-best-slave
-  // horizon.
-  const Time ceiling = single_slave_horizon(fork, n);
-  std::size_t probes = 0;
-  const Time horizon = min_feasible_horizon(
-      fork_makespan_lower_bound(fork, n, scratch.bound), ceiling, [&](Time t) {
-        ++probes;
-        return count_within(fork, t, n, scratch) >= n;
-      });
-  schedule_within_into(fork, horizon, n, scratch, out);
-  MST_ASSERT(out.tasks.size() == n);
-  return probes;
-}
-
 namespace {
 
 /// Shared engine for the §6 greedy: returns the per-slave counts it
@@ -485,7 +363,10 @@ std::size_t ForkScheduler::greedy_max_tasks(const Fork& fork, Time t_lim, std::s
 ForkSchedule ForkScheduler::greedy_schedule_within(const Fork& fork, Time t_lim,
                                                    std::size_t cap) {
   MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  return realize(fork, t_lim, greedy_counts(fork, t_lim, cap));
+  ForkCountScratch scratch;
+  ForkSchedule out;
+  realize_into(fork, t_lim, greedy_counts(fork, t_lim, cap), scratch, out);
+  return out;
 }
 
 }  // namespace mst

@@ -17,8 +17,11 @@
 /// The decision form "how many tasks finish within `T_lim`?" is solved by
 /// (a) expanding every slave into virtual single-task nodes (Fig 6), and
 /// (b) selecting a maximum feasible node set on the master's one-port —
-/// a `1 || ΣU_j` instance solved optimally by Moore–Hodgson
-/// (`moore_hodgson.hpp`).  The selection is normalized per slave to the
+/// a `1 || ΣU_j` instance solved optimally by Moore–Hodgson.  Each slave's
+/// nodes form one run (one latency `c`, deadlines in arithmetic
+/// progression), so every identical-workload path selects with the
+/// run-merged kernel `moore_hodgson_runs` (`moore_hodgson.hpp`) — no
+/// `DeadlineJob` array, no sort.  The selection is normalized per slave to the
 /// smallest-exec prefix (pure deadline relaxation, count preserved), which
 /// makes it realizable as an actual schedule.  The paper's original
 /// ascending-`c` greedy is kept as `greedy_max_tasks` for cross-checking
@@ -26,48 +29,47 @@
 
 namespace mst {
 
-/// Reusable buffers for `ForkScheduler::count_within`.  Keep one per
-/// thread: with warm buffers the count — on-the-fly virtual-node expansion
-/// plus the count-only Moore–Hodgson selection — performs no heap
-/// allocation at all, matching the chain/spider counting paths.
+/// Reusable buffers for the fork selection paths.  Keep one per thread:
+/// with warm buffers counting, `makespan_within` and the `_into`
+/// materializations perform no heap allocation at all, matching the
+/// chain/spider paths.
 struct ForkCountScratch {
-  std::vector<DeadlineJob> jobs;  ///< the Fig 6 node instance, reused
-  std::vector<Time> heap;         ///< Moore–Hodgson selection heap
-  std::vector<Time> dp;           ///< positional-release selection DP row
-  // `makespan_within` extras:
-  std::vector<std::pair<Time, std::size_t>> sel_heap;  ///< (comm, id) eviction heap
-  std::vector<std::size_t> slave_of;   ///< job id → slave index
-  std::vector<std::size_t> counts;     ///< selected tasks per slave
+  std::vector<Time> deadlines;       ///< every slave's node deadlines, run by run
+  std::vector<JobRun> runs;          ///< one run per slave
+  RunSelectScratch select;           ///< the run kernel's merge/bucket state
+  std::vector<std::size_t> counts;   ///< selected tasks per slave
+  std::vector<std::size_t> kept;     ///< counts of the search's smallest feasible probe
+  std::size_t selections = 0;        ///< run-kernel passes made on this scratch
+  std::vector<DeadlineJob> jobs;     ///< the Fig 6 node instance (release dates)
+  std::vector<Time> dp;              ///< positional-release selection DP row
   std::vector<std::pair<Time, std::size_t>> seq;  ///< (deadline, slave) sequencing
-  std::vector<Time> slave_free;        ///< per-slave completion during replay
-  OnePortScratch bound;                ///< makespan lower bound seeding the search
+  std::vector<Time> slave_free;      ///< per-slave completion during replay
+  OnePortScratch bound;              ///< makespan lower bound seeding the search
 };
 
 class ForkScheduler {
  public:
   /// Decision form: a feasible schedule of the maximum number of tasks — at
   /// most `cap` — all completing by `t_lim`.  Master emissions are sequenced
-  /// EDD back-to-back from time 0.
+  /// EDD back-to-back from time 0.  `schedule_within_into` on a fresh
+  /// scratch.
   static ForkSchedule schedule_within(const Fork& fork, Time t_lim, std::size_t cap);
 
   /// Count-only decision form (private scratch; see `count_within`).
   static std::size_t max_tasks(const Fork& fork, Time t_lim, std::size_t cap);
 
-  /// Allocation-free counting: expands each slave's virtual nodes directly
-  /// into `scratch.jobs` (never building node vectors) and runs the
-  /// count-only Moore–Hodgson selection in `scratch.heap`.  Returns exactly
-  /// `schedule_within(fork, t_lim, cap).tasks.size()`.  The makespan form's
-  /// horizon search and the registry's `materialize == false` fast path run
-  /// on this.
+  /// Allocation-free counting: one run-kernel pass over the slaves' node
+  /// deadlines, leaving the per-slave counts in `scratch.counts`.  Returns
+  /// exactly `schedule_within(fork, t_lim, cap).tasks.size()`.  The makespan
+  /// form's horizon search runs on this.
   static std::size_t count_within(const Fork& fork, Time t_lim, std::size_t cap,
                                   ForkCountScratch& scratch);
 
   /// Count *and* completion time of the decision-form schedule, still
-  /// allocation-free: replays the whole `schedule_within` pipeline —
-  /// selection with identities, per-slave normalization, the global-cap
-  /// trim and the EDD port sequencing — in scratch buffers, so the registry
-  /// fast path reports the same (tasks, makespan) pair as the materializing
-  /// path without ever building task vectors.
+  /// allocation-free: the whole `schedule_within` pipeline — selection,
+  /// global-cap trim and EDD port sequencing — with no task vector built, so
+  /// the registry's count path reports the same (tasks, makespan) pair as
+  /// the materializing path.
   static std::pair<std::size_t, Time> makespan_within(const Fork& fork, Time t_lim,
                                                       std::size_t cap,
                                                       ForkCountScratch& scratch);
@@ -108,18 +110,22 @@ class ForkScheduler {
   static ForkSchedule greedy_schedule_within(const Fork& fork, Time t_lim, std::size_t cap);
 
   // -------------------------------------------------------------------------
-  // Scratch-reusing materialization: bit-identical to the value-returning
-  // forms (pinned by tests/test_zero_alloc.cpp), rebuilding `out` in place so
-  // repeated solves on warm scratch perform zero heap allocations.
+  // Scratch-reusing materialization: the value-returning forms are these on
+  // a fresh scratch; `out` is rebuilt in place, so repeated solves on warm
+  // scratch perform zero heap allocations (tests/test_zero_alloc.cpp).
 
-  /// In-place twin of `schedule_within(fork, t_lim, cap)`: the
-  /// `makespan_within` pipeline with step (4) emitting real tasks.
+  /// In-place form of `schedule_within(fork, t_lim, cap)`: the
+  /// `makespan_within` pipeline emitting real tasks.
   static void schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
                                    ForkCountScratch& scratch, ForkSchedule& out);
 
   /// In-place form of `schedule(fork, n)` (which is this on a fresh scratch):
-  /// every search probe reuses the one scratch.  Returns the number of count
-  /// probes the horizon search made — a deterministic work count.
+  /// every search probe reuses the one scratch.  The search returns a
+  /// horizon it probed (unless it is the unprobed ceiling), so the counts of
+  /// the smallest feasible probe are kept and materialized directly — one
+  /// selection pass per probe and none after the search.  Returns the
+  /// number of count probes the horizon search made — a deterministic work
+  /// count.
   static std::size_t schedule_into(const Fork& fork, std::size_t n, ForkCountScratch& scratch,
                                    ForkSchedule& out);
 };

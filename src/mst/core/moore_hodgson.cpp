@@ -78,6 +78,77 @@ std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time
   return heap_scratch.size();
 }
 
+std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
+                               RunSelectScratch& scratch, std::vector<std::size_t>& counts) {
+  using Entry = std::pair<Time, std::size_t>;  // (deadline, rank)
+  const std::size_t p = runs.size();
+  std::vector<std::size_t>& order = scratch.order;
+  order.resize(p);
+  for (std::size_t i = 0; i < p; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (runs[a].proc != runs[b].proc) return runs[a].proc < runs[b].proc;
+    return a < b;
+  });
+  scratch.lanes.resize(p);
+  RunSelectScratch::Lane* const lanes = scratch.lanes.data();
+  std::vector<Entry>& heap = scratch.heap;
+  heap.clear();
+  for (std::size_t r = 0; r < p; ++r) {
+    const JobRun& run = runs[order[r]];
+    MST_ASSERT(run.begin <= run.end && run.end <= deadlines.size());
+    lanes[r] = {run.proc, run.begin, run.end, 0};
+    if (run.begin < run.end) heap.emplace_back(deadlines[run.begin], r);
+  }
+  // Min-heap on (deadline, rank), maintained by hand so that advancing a run
+  // is one sift of the top entry rather than a pop and a push.
+  const auto later = [](const Entry& a, const Entry& b) { return b < a; };
+  std::make_heap(heap.begin(), heap.end(), later);
+  const auto sift_top = [&] {
+    const std::size_t size = heap.size();
+    const Entry moving = heap[0];
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
+      if (child + 1 < size && heap[child + 1] < heap[child]) ++child;
+      if (!(heap[child] < moving)) break;
+      heap[hole] = heap[child];
+      hole = child;
+    }
+    heap[hole] = moving;
+  };
+
+  Time total = 0;         // processing time of the selected jobs
+  std::size_t selected = 0;
+  std::size_t top = 0;    // highest rank with a selected job, once selected > 0
+  while (!heap.empty()) {
+    const auto [deadline, r] = heap[0];
+    RunSelectScratch::Lane& lane = lanes[r];
+    if (++lane.next < lane.end) {
+      heap[0].first = deadlines[lane.next];
+    } else {
+      heap[0] = heap.back();
+      heap.pop_back();
+    }
+    if (!heap.empty()) sift_top();
+
+    if (total + lane.proc <= deadline) {
+      ++lane.taken;
+      total += lane.proc;
+      if (selected++ == 0 || r > top) top = r;
+    } else if (selected > 0 && r < top) {
+      // Evict one job of the top run for this one (no longer, since it
+      // ranks lower): the total shrinks, the count stays.
+      total += lane.proc - lanes[top].proc;
+      ++lane.taken;
+      --lanes[top].taken;
+      while (lanes[top].taken == 0) --top;
+    }
+  }
+
+  counts.assign(p, 0);
+  for (std::size_t r = 0; r < p; ++r) counts[order[r]] = lanes[r].taken;
+  return selected;
+}
+
 std::size_t moore_hodgson_released_count(std::vector<DeadlineJob>& jobs,
                                          const std::vector<Time>& releases,
                                          std::size_t max_count, std::vector<Time>& dp_scratch) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "mst/common/time.hpp"
@@ -11,7 +12,11 @@
 /// The virtual-node selection problem of §6/§7 is exactly `1 || ΣU_j`:
 /// jobs (master emissions) with processing time `comm` and a hard deadline,
 /// one machine (the master's out-port), maximize the number of on-time jobs.
-/// The Moore–Hodgson algorithm solves it optimally in `O(N log N)`.
+/// The Moore–Hodgson algorithm solves it optimally in `O(N log N)`.  The
+/// fork and spider node sets have more structure — one run per slave or
+/// leg, each run sharing one processing time with deadlines already in
+/// order — and `moore_hodgson_runs` exploits it: the same selection in
+/// `O(N log p)` for p runs, with no sort and no eviction heap.
 ///
 /// The paper cites the ascending-`c` greedy of Beaumont et al. [2] for this
 /// step; we implement both (see `fork_scheduler.hpp` for the greedy) and use
@@ -34,12 +39,61 @@ struct DeadlineJob {
 /// selected.  Deterministic: ties are broken by (deadline, proc_time, id).
 std::vector<std::size_t> moore_hodgson(std::vector<DeadlineJob> jobs);
 
-/// Count-only Moore–Hodgson for sweep hot paths: sorts `jobs` in place and
-/// keeps the selected processing times in `heap_scratch` (cleared, capacity
-/// reused), so a warmed-up caller triggers no allocation.  Returns the same
+/// Count-only Moore–Hodgson on an arbitrary job set: sorts `jobs` in place
+/// and keeps the selected processing times in `heap_scratch` (cleared,
+/// capacity reused), so a warmed-up caller triggers no allocation.  (The
+/// fork/spider paths use the run kernel below instead.)  Returns the same
 /// cardinality `moore_hodgson` selects — the optimum is unique even when the
 /// selection is not.
 std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time>& heap_scratch);
+
+/// One run of the run-merged selection: the jobs whose deadlines are
+/// `deadlines[begin, end)` of a shared array, ascending, all taking `proc`
+/// on the machine.  The fork and spider selections are made of such runs —
+/// one per slave (Fig 6) or leg (Fig 7), every node of a run sharing the
+/// source's first-link latency.
+struct JobRun {
+  Time proc = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// Merge and bucket state of `moore_hodgson_runs`: O(p) for p runs, reused
+/// across passes.
+struct RunSelectScratch {
+  /// One run as the kernel sees it, indexed by rank.
+  struct Lane {
+    Time proc = 0;
+    std::size_t next = 0;   ///< next unmerged deadline of the run
+    std::size_t end = 0;
+    std::size_t taken = 0;  ///< selected jobs of the run
+  };
+  std::vector<std::size_t> order;                  ///< rank → run index
+  std::vector<Lane> lanes;                         ///< per rank
+  std::vector<std::pair<Time, std::size_t>> heap;  ///< (deadline, rank) merge front
+};
+
+/// Moore–Hodgson over runs: the selection `moore_hodgson` makes on the
+/// concatenated runs with run-major ids, reported as per-run counts
+/// (`counts[i]` for `runs[i]`; reassigned) plus their total (returned).
+///
+/// The runs are ranked by (proc, run index).  Because ids are run-major,
+/// the generic EDD key (deadline, proc, id) orders jobs of different runs
+/// exactly as (deadline, rank) does, and the job the generic rule evicts —
+/// the max (proc, id) — always lies in the highest-ranked run with a
+/// selected job.  Which job of a run is selected never matters, since all
+/// of them take the same time; so the kernel merges the runs with a p-entry
+/// min-heap on (deadline, rank) instead of sorting, and keeps the selection
+/// as one count per rank with a pointer at the highest non-empty rank
+/// instead of an eviction heap.  A job that does not fit and ranks at or
+/// above that pointer is the one the generic rule would evict, so it is
+/// rejected without touching the counts.
+///
+/// Cost: O(N log p) for N jobs — one heap sift per job — plus the pointer's
+/// downward moves, which never exceed its upward jumps (at most p each);
+/// O(p) scratch.  Allocation-free once `scratch` and `counts` are warm.
+std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
+                               RunSelectScratch& scratch, std::vector<std::size_t>& counts);
 
 /// Positional-release selection — the release-date generalization behind
 /// the fork/spider workload algorithms.  Tasks are identical apart from

@@ -24,122 +24,141 @@ SpiderTransformation SpiderScheduler::transform(const Spider& spider, Time t_lim
   return result;
 }
 
-SpiderSchedule SpiderScheduler::schedule_within(const Spider& spider, Time t_lim,
-                                                std::size_t cap) {
-  const SpiderTransformation tf = transform(spider, t_lim, cap);
+// The selection paths run warm-scratch only — statically allocation-checked
+// (dynamic twins: tests/test_counting.cpp and tests/test_zero_alloc.cpp).
+// mstlint: zero-alloc
+namespace {
 
-  // Step (3): optimal virtual-node selection on the master's one-port.
-  std::vector<DeadlineJob> jobs;
-  jobs.reserve(tf.nodes.size());
-  for (std::size_t idx = 0; idx < tf.nodes.size(); ++idx) {
-    jobs.push_back({tf.nodes[idx].comm, tf.nodes[idx].deadline(t_lim), idx});
+/// One run-kernel pass over the runs in `scratch` (one per leg, in leg
+/// order): per-leg counts into `scratch.counts`, their total returned.
+std::size_t select_runs(SpiderCountScratch& scratch) {
+  ++scratch.selections;
+  return moore_hodgson_runs(scratch.runs, scratch.deadlines, scratch.select, scratch.counts);
+}
+
+/// Steps (1)–(2) in place: each leg's decision schedule into a pooled slot.
+void build_legs(const Spider& spider, Time t_lim, std::size_t cap, SpiderSolveScratch& scratch) {
+  if (scratch.legs.size() < spider.num_legs()) scratch.legs.resize(spider.num_legs());
+  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
+    ChainScheduler::schedule_within_into(spider.leg(l), t_lim, cap, scratch.count.chain,
+                                         scratch.legs[l]);
   }
-  const std::vector<std::size_t> picked = moore_hodgson(std::move(jobs));
+}
 
-  // Per-leg counts; normalize each leg to its smallest-exec nodes, i.e. the
-  // *suffix* of the leg schedule (rank < count).  Swapping a selected node
-  // for an unselected same-comm node with a later deadline keeps the
-  // selection EDD-feasible, so counts are preserved.
-  std::vector<std::size_t> counts(spider.num_legs(), 0);
-  for (std::size_t idx : picked) ++counts[tf.nodes[idx].source];
+/// Step (3) over built legs: a leg's run is its tasks' node deadlines
+/// `C¹ + c_1` (`expand_leg`), ascending with the tasks' first emissions.
+std::size_t select_legs(const Spider& spider, SpiderSolveScratch& scratch) {
+  SpiderCountScratch& count = scratch.count;
+  count.deadlines.clear();
+  count.runs.clear();
+  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
+    const Time c1 = spider.leg(l).comm(0);
+    const std::size_t begin = count.deadlines.size();
+    for (const ChainTask& t : scratch.legs[l].tasks) {
+      count.deadlines.push_back(t.emissions.front() + c1);
+    }
+    count.runs.push_back(JobRun{c1, begin, count.deadlines.size()});
+  }
+  return select_runs(count);
+}
+
+/// Steps (3b)–(4) from the per-leg counts in `scratch.count.counts`: the
+/// global-cap trim, then each leg keeps the *suffix* of its schedule (its
+/// smallest-exec nodes — swapping a selected node for an unselected
+/// same-comm node with a later deadline keeps the selection EDD-feasible,
+/// so counts are preserved), and the master emissions are re-sequenced EDD
+/// back-to-back from time 0 by (deadline, leg, task index); everything
+/// downstream stays untouched.  `out.tasks` is rebuilt in recycled slots.
+void realize_into(const Spider& spider, Time t_lim, std::size_t cap, SpiderSolveScratch& scratch,
+                  SpiderSchedule& out) {
+  const std::size_t num_legs = spider.num_legs();
+  std::vector<std::size_t>& counts = scratch.count.counts;
 
   // Global cap: trim the hardest node (largest exec among each leg's next
   // removal candidate) until within cap.  Removing never breaks feasibility.
   std::size_t total = 0;
-  for (std::size_t c : counts) total += c;
-  while (total > cap) {
-    std::size_t worst_leg = spider.num_legs();
+  for (const std::size_t c : counts) total += c;
+  for (; total > cap; --total) {
+    std::size_t worst_leg = num_legs;
     Time worst_exec = -1;
-    for (std::size_t l = 0; l < spider.num_legs(); ++l) {
+    for (std::size_t l = 0; l < num_legs; ++l) {
       if (counts[l] == 0) continue;
-      const std::size_t m = tf.leg_schedules[l].tasks.size();
-      const ChainTask& t = tf.leg_schedules[l].tasks[m - counts[l]];  // earliest kept task
+      const std::size_t m = scratch.legs[l].tasks.size();
+      const ChainTask& t = scratch.legs[l].tasks[m - counts[l]];  // earliest kept task
       const Time exec = t_lim - t.emissions.front() - spider.leg(l).comm(0);
       if (exec > worst_exec) {
         worst_exec = exec;
         worst_leg = l;
       }
     }
-    MST_ASSERT(worst_leg < spider.num_legs());
+    MST_ASSERT(worst_leg < num_legs);
     --counts[worst_leg];
-    --total;
   }
 
-  // Step (4): revert to a spider schedule.  Gather the suffix tasks with
-  // their emission-completion deadlines, re-sequence the master emissions
-  // EDD back-to-back from time 0, keep everything downstream untouched.
-  struct Chosen {
-    std::size_t leg;
-    std::size_t task_index;  // into leg_schedules[leg].tasks
-    Time deadline;           // original C_1 + c_1
-  };
-  std::vector<Chosen> chosen;
-  chosen.reserve(total);
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    const ChainSchedule& ls = tf.leg_schedules[l];
+  scratch.chosen.clear();
+  for (std::size_t l = 0; l < num_legs; ++l) {
+    const ChainSchedule& ls = scratch.legs[l];
     const std::size_t m = ls.tasks.size();
     const Time c1 = spider.leg(l).comm(0);
     for (std::size_t j = m - counts[l]; j < m; ++j) {
-      chosen.push_back({l, j, ls.tasks[j].emissions.front() + c1});
+      scratch.chosen.emplace_back(ls.tasks[j].emissions.front() + c1, l, j);
     }
   }
-  std::sort(chosen.begin(), chosen.end(), [](const Chosen& a, const Chosen& b) {
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-    if (a.leg != b.leg) return a.leg < b.leg;
-    return a.task_index < b.task_index;
-  });
+  std::sort(scratch.chosen.begin(), scratch.chosen.end());
 
-  SpiderSchedule schedule{spider, {}};
-  schedule.tasks.reserve(chosen.size());
+  out.spider = spider;  // copy-assign reuses the nested leg buffers when warm
+  std::size_t used = 0;
   Time port = 0;
-  for (const Chosen& item : chosen) {
-    const ChainTask& src = tf.leg_schedules[item.leg].tasks[item.task_index];
-    const Time c1 = spider.leg(item.leg).comm(0);
+  for (const auto& [deadline, leg, task_index] : scratch.chosen) {
+    const ChainTask& src = scratch.legs[leg].tasks[task_index];
     const Time emission = port;
-    port += c1;
+    port += spider.leg(leg).comm(0);
     // Lemma 3: the fork step never needs to emit later than the leg
     // schedule did, so moving the first emission earlier is always legal.
-    MST_ASSERT(port <= item.deadline);
-    SpiderTask task;
-    task.leg = item.leg;
+    MST_ASSERT(port <= deadline);
+    if (used == out.tasks.size()) out.tasks.emplace_back();
+    SpiderTask& task = out.tasks[used];
+    task.leg = leg;
     task.proc = src.proc;
     task.start = src.start;
-    task.emissions = src.emissions;
+    task.emissions.assign(src.emissions.begin(), src.emissions.end());
     task.emissions.front() = emission;
-    schedule.tasks.push_back(std::move(task));
+    ++used;
   }
-  return schedule;
+  out.tasks.resize(used);
 }
 
-std::size_t SpiderScheduler::max_tasks(const Spider& spider, Time t_lim, std::size_t cap) {
-  SpiderCountScratch scratch;
-  return count_within(spider, t_lim, cap, scratch);
-}
+}  // namespace
 
-// The counting paths run warm-scratch only — statically allocation-checked
-// (dynamic twin: tests/test_counting.cpp).
-// mstlint: zero-alloc
 std::size_t SpiderScheduler::count_within(const Spider& spider, Time t_lim, std::size_t cap,
                                           SpiderCountScratch& scratch) {
   MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
   // Steps (1)–(3) of `schedule_within` without materialization: each leg's
-  // backward construction is replayed count-only, its first-link emissions
-  // become virtual-node deadlines (`expand_leg`: deadline = C_1 + c_1), and
-  // the count-only Moore–Hodgson gives the selected cardinality.  Counts are
-  // per-leg capped like the materialized path; the global cap trim of step
-  // (3b) only ever reduces the total to `cap`, so `min` reproduces it.
-  scratch.jobs.clear();
+  // backward construction is replayed count-only; its first-link emissions,
+  // latest first, reversed and shifted by `c_1`, are the leg's run of node
+  // deadlines (`expand_leg`).  The global cap trim only ever reduces the
+  // selected total to `cap`, so `min` reproduces it.
+  scratch.deadlines.clear();
+  scratch.runs.clear();
   for (std::size_t l = 0; l < spider.num_legs(); ++l) {
     const Chain& leg = spider.leg(l);
-    scratch.emissions.clear();
-    ChainScheduler::count_within_emissions(leg, t_lim, cap, scratch.chain, scratch.emissions);
+    const std::size_t begin = scratch.deadlines.size();
+    ChainScheduler::count_within_emissions(leg, t_lim, cap, scratch.chain, scratch.deadlines);
+    std::reverse(scratch.deadlines.begin() + static_cast<std::ptrdiff_t>(begin),
+                 scratch.deadlines.end());
     const Time c1 = leg.comm(0);
-    for (const Time emission : scratch.emissions) {
-      scratch.jobs.push_back(DeadlineJob{c1, emission + c1, scratch.jobs.size()});
-    }
+    for (std::size_t j = begin; j < scratch.deadlines.size(); ++j) scratch.deadlines[j] += c1;
+    scratch.runs.push_back(JobRun{c1, begin, scratch.deadlines.size()});
   }
-  const std::size_t picked = moore_hodgson_count(scratch.jobs, scratch.heap);
-  return std::min(picked, cap);
+  return std::min(select_runs(scratch), cap);
+}
+
+void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim, std::size_t cap,
+                                           SpiderSolveScratch& scratch, SpiderSchedule& out) {
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  build_legs(spider, t_lim, cap, scratch);
+  select_legs(spider, scratch);
+  realize_into(spider, t_lim, cap, scratch, out);
 }
 
 namespace {
@@ -171,16 +190,64 @@ std::size_t SpiderScheduler::count_within(const Spider& spider, Time t_lim,
   scratch.jobs.clear();
   for (std::size_t l = 0; l < spider.num_legs(); ++l) {
     const Chain& leg = spider.leg(l);
-    scratch.emissions.clear();
-    ChainScheduler::count_within_emissions(leg, t_lim, k_cap, scratch.chain, scratch.emissions);
+    scratch.deadlines.clear();  // this leg's first-link emissions
+    ChainScheduler::count_within_emissions(leg, t_lim, k_cap, scratch.chain, scratch.deadlines);
     const Time c1 = leg.comm(0);
-    for (const Time emission : scratch.emissions) {
+    for (const Time emission : scratch.deadlines) {
       scratch.jobs.push_back(DeadlineJob{c1, emission + c1, scratch.jobs.size()});
     }
   }
   return moore_hodgson_released_count(scratch.jobs, workload.releases(), k_cap, scratch.dp);
 }
+
+std::size_t SpiderScheduler::schedule_into(const Spider& spider, std::size_t n,
+                                           SpiderSolveScratch& scratch, SpiderSchedule& out) {
+  MST_REQUIRE(n >= 1, "schedule needs at least one task");
+  // Monotone predicate `count_within(t) >= n` on the shared count scratch,
+  // from the makespan lower bound up to the single-best-leg horizon.
+  // The ceiling goes first: `t_infinity` rejects an `n` outside the numeric
+  // domain before the bound's arithmetic could overflow.  Every feasible
+  // probe lies below the previous ones, and the search returns the last of
+  // them unless it returns the unprobed ceiling, so the per-leg counts kept
+  // from each feasible probe are the returned horizon's selection: the legs
+  // are built at the horizon, and no selection pass runs after the search.
+  SpiderCountScratch& count = scratch.count;
+  const Time ceiling = single_leg_horizon(spider, n);
+  std::size_t probes = 0;
+  Time kept = -1;
+  const Time horizon = min_feasible_horizon(
+      spider_makespan_lower_bound(spider, n, count.bound), ceiling, [&](Time t) {
+        ++probes;
+        if (count_within(spider, t, n, count) < n) return false;
+        std::swap(count.counts, count.kept);
+        kept = t;
+        return true;
+      });
+  build_legs(spider, horizon, n, scratch);
+  if (kept == horizon) {
+    std::swap(count.counts, count.kept);
+  } else {
+    select_legs(spider, scratch);
+  }
+  realize_into(spider, horizon, n, scratch, out);
+  MST_ASSERT(out.tasks.size() == n);
+  out.normalize();
+  return probes;
+}
 // mstlint: zero-alloc-end
+
+SpiderSchedule SpiderScheduler::schedule_within(const Spider& spider, Time t_lim,
+                                                std::size_t cap) {
+  SpiderSolveScratch scratch;
+  SpiderSchedule out;
+  schedule_within_into(spider, t_lim, cap, scratch, out);
+  return out;
+}
+
+std::size_t SpiderScheduler::max_tasks(const Spider& spider, Time t_lim, std::size_t cap) {
+  SpiderCountScratch scratch;
+  return count_within(spider, t_lim, cap, scratch);
+}
 
 SpiderSchedule SpiderScheduler::schedule_within(const Spider& spider, Time t_lim,
                                                 const Workload& workload, std::size_t cap) {
@@ -279,134 +346,6 @@ SpiderSchedule SpiderScheduler::schedule(const Spider& spider, std::size_t n) {
 
 Time SpiderScheduler::makespan(const Spider& spider, std::size_t n) {
   return schedule(spider, n).makespan();
-}
-
-// Scratch-reusing materialization.  Equality with `schedule_within` rests on
-// three invariants, all pinned by tests/test_zero_alloc.cpp:
-//  * the per-leg `_into` builds equal `ChainScheduler::schedule_within`;
-//  * node ids are assigned in the exact `transform`/`expand_leg` order
-//    (leg-major, ascending first emission), so the Moore–Hodgson mirror —
-//    EDD by (deadline, proc_time, id), eviction of the max (proc_time, id) —
-//    selects the identical set;
-//  * `scratch.chosen` tuples sort by (deadline, leg, task_index), the legacy
-//    `Chosen` comparator verbatim.
-// mstlint: zero-alloc
-void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim, std::size_t cap,
-                                           SpiderSolveScratch& scratch, SpiderSchedule& out) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  const std::size_t num_legs = spider.num_legs();
-
-  // Steps (1)–(2): per-leg decision schedules into pooled slots, virtual
-  // nodes enumerated on the fly in `transform` order.
-  if (scratch.legs.size() < num_legs) scratch.legs.resize(num_legs);
-  scratch.jobs.clear();
-  scratch.leg_of.clear();
-  for (std::size_t l = 0; l < num_legs; ++l) {
-    ChainScheduler::schedule_within_into(spider.leg(l), t_lim, cap, scratch.count.chain,
-                                         scratch.legs[l]);
-    const Time c1 = spider.leg(l).comm(0);
-    for (const ChainTask& t : scratch.legs[l].tasks) {
-      // expand_leg: proc_time = c_1, deadline = C¹ + c_1, ids in node order.
-      scratch.jobs.push_back(DeadlineJob{c1, t.emissions.front() + c1, scratch.jobs.size()});
-      scratch.leg_of.push_back(l);
-    }
-  }
-
-  // Step (3): Moore–Hodgson with identities, mirroring `moore_hodgson`.
-  std::sort(scratch.jobs.begin(), scratch.jobs.end(),
-            [](const DeadlineJob& a, const DeadlineJob& b) {
-              if (a.deadline != b.deadline) return a.deadline < b.deadline;
-              if (a.proc_time != b.proc_time) return a.proc_time < b.proc_time;
-              return a.id < b.id;
-            });
-  scratch.sel_heap.clear();
-  Time total_time = 0;
-  for (const DeadlineJob& job : scratch.jobs) {
-    scratch.sel_heap.emplace_back(job.proc_time, job.id);
-    std::push_heap(scratch.sel_heap.begin(), scratch.sel_heap.end());
-    total_time += job.proc_time;
-    if (total_time > job.deadline) {
-      std::pop_heap(scratch.sel_heap.begin(), scratch.sel_heap.end());
-      total_time -= scratch.sel_heap.back().first;
-      scratch.sel_heap.pop_back();
-    }
-  }
-
-  // Per-leg counts and the global-cap trim of `schedule_within`.
-  scratch.counts.assign(num_legs, 0);
-  for (const auto& [comm, id] : scratch.sel_heap) ++scratch.counts[scratch.leg_of[id]];
-  std::size_t total = scratch.sel_heap.size();
-  while (total > cap) {
-    std::size_t worst_leg = num_legs;
-    Time worst_exec = -1;
-    for (std::size_t l = 0; l < num_legs; ++l) {
-      if (scratch.counts[l] == 0) continue;
-      const std::size_t m = scratch.legs[l].tasks.size();
-      const ChainTask& t = scratch.legs[l].tasks[m - scratch.counts[l]];  // earliest kept task
-      const Time exec = t_lim - t.emissions.front() - spider.leg(l).comm(0);
-      if (exec > worst_exec) {
-        worst_exec = exec;
-        worst_leg = l;
-      }
-    }
-    MST_ASSERT(worst_leg < num_legs);
-    --scratch.counts[worst_leg];
-    --total;
-  }
-
-  // Step (4): gather the suffix tasks, re-sequence EDD from time 0, rebuild
-  // `out.tasks` in recycled slots.
-  scratch.chosen.clear();
-  for (std::size_t l = 0; l < num_legs; ++l) {
-    const ChainSchedule& ls = scratch.legs[l];
-    const std::size_t m = ls.tasks.size();
-    const Time c1 = spider.leg(l).comm(0);
-    for (std::size_t j = m - scratch.counts[l]; j < m; ++j) {
-      scratch.chosen.emplace_back(ls.tasks[j].emissions.front() + c1, l, j);
-    }
-  }
-  std::sort(scratch.chosen.begin(), scratch.chosen.end());
-
-  out.spider = spider;  // copy-assign reuses the nested leg buffers when warm
-  std::size_t used = 0;
-  Time port = 0;
-  for (const auto& [deadline, leg, task_index] : scratch.chosen) {
-    const ChainTask& src = scratch.legs[leg].tasks[task_index];
-    const Time c1 = spider.leg(leg).comm(0);
-    const Time emission = port;
-    port += c1;
-    MST_ASSERT(port <= deadline);
-    if (used == out.tasks.size()) out.tasks.emplace_back();
-    SpiderTask& task = out.tasks[used];
-    task.leg = leg;
-    task.proc = src.proc;
-    task.start = src.start;
-    task.emissions.assign(src.emissions.begin(), src.emissions.end());
-    task.emissions.front() = emission;
-    ++used;
-  }
-  out.tasks.resize(used);
-}
-// mstlint: zero-alloc-end
-
-std::size_t SpiderScheduler::schedule_into(const Spider& spider, std::size_t n,
-                                           SpiderSolveScratch& scratch, SpiderSchedule& out) {
-  MST_REQUIRE(n >= 1, "schedule needs at least one task");
-  // Monotone predicate `count_within(t) >= n` on the shared count scratch,
-  // from the makespan lower bound up to the single-best-leg horizon.
-  // The ceiling goes first: `t_infinity` rejects an `n` outside the numeric
-  // domain before the bound's arithmetic could overflow.
-  const Time ceiling = single_leg_horizon(spider, n);
-  std::size_t probes = 0;
-  const Time horizon = min_feasible_horizon(
-      spider_makespan_lower_bound(spider, n, scratch.count.bound), ceiling, [&](Time t) {
-        ++probes;
-        return count_within(spider, t, n, scratch.count) >= n;
-      });
-  schedule_within_into(spider, horizon, n, scratch, out);
-  MST_ASSERT(out.tasks.size() == n);
-  out.normalize();
-  return probes;
 }
 
 }  // namespace mst

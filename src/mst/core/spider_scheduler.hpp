@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "mst/core/bounds.hpp"
@@ -22,7 +21,9 @@
 ///   (2) turn every scheduled task into a virtual single-task node
 ///       (`comm = c_1` of the leg, `exec = T_lim − C¹ᵢ − c_1`, Fig 7);
 ///   (3) select a maximum feasible node set on the master's one-port
-///       (the fork-graph step; Moore–Hodgson here);
+///       (the fork-graph step; Moore–Hodgson here — each leg's nodes share
+///       `c_1` and come in deadline order, so the selection is the
+///       run-merged kernel `moore_hodgson_runs`, one run per leg);
 ///   (4) revert: a leg with `k` selected nodes executes the *last `k`
 ///       tasks* of its chain schedule — optimal for `k` tasks by the
 ///       backward construction (Lemma 4) — with master emissions moved to
@@ -31,7 +32,9 @@
 /// The makespan form searches the minimal `T_lim` of the monotone decision
 /// form, seeded with `spider_makespan_lower_bound` and certified
 /// (`min_feasible_horizon`, search.hpp): a tight bound costs two count
-/// probes, and the horizon never depends on the bound.  Total complexity
+/// probes, and the horizon never depends on the bound.  The per-leg counts
+/// of the smallest feasible probe are kept, so materializing at the horizon
+/// builds the legs and reverts without a second selection pass.  Total complexity
 /// stays polynomial (Theorem 2) and the result is optimal (Theorem 3).
 
 namespace mst {
@@ -50,28 +53,27 @@ struct SpiderTransformation {
 
 /// Reusable buffers for `SpiderScheduler::count_within`.  Keep one per
 /// thread; with warm buffers the whole spider count — per-leg backward
-/// counting plus the Moore–Hodgson selection — runs without allocating.
+/// counting plus the run-kernel selection — runs without allocating.
 struct SpiderCountScratch {
-  ChainCountScratch chain;          ///< shared across legs
-  std::vector<Time> emissions;      ///< one leg's first-link emissions
-  std::vector<DeadlineJob> jobs;    ///< the fork-graph instance
-  std::vector<Time> heap;           ///< Moore–Hodgson selection heap
-  std::vector<Time> dp;             ///< positional-release selection DP row
-  OnePortScratch bound;             ///< makespan lower bound seeding the search
+  ChainCountScratch chain;           ///< shared across legs
+  std::vector<Time> deadlines;       ///< every leg's node deadlines, run by run
+  std::vector<JobRun> runs;          ///< one run per leg
+  RunSelectScratch select;           ///< the run kernel's merge/bucket state
+  std::vector<std::size_t> counts;   ///< selected tasks per leg
+  std::vector<std::size_t> kept;     ///< counts of the search's smallest feasible probe
+  std::size_t selections = 0;        ///< run-kernel passes made on this scratch
+  std::vector<DeadlineJob> jobs;     ///< the fork-graph instance (release dates)
+  std::vector<Time> dp;              ///< positional-release selection DP row
+  OnePortScratch bound;              ///< makespan lower bound seeding the search
 };
 
 /// Reusable buffers for the scratch-reusing materializing path
-/// (`schedule_into` / `schedule_within_into`).  Extends the counting scratch
-/// with pooled per-leg decision schedules and the step (3)–(4) working sets.
+/// (`schedule_into` / `schedule_within_into`): the counting scratch plus
+/// pooled per-leg decision schedules and the step (4) working set.
 struct SpiderSolveScratch {
-  SpiderCountScratch count;          ///< horizon-search probes + leg builds
+  SpiderCountScratch count;          ///< search probes, selection and leg builds
   std::vector<ChainSchedule> legs;   ///< pooled leg decision schedules
-  std::vector<DeadlineJob> jobs;     ///< node instance in `transform` order
-  std::vector<std::pair<Time, std::size_t>> sel_heap;  ///< (comm, id) eviction heap
-  std::vector<std::size_t> leg_of;   ///< node id → leg index
-  std::vector<std::size_t> counts;   ///< kept suffix length per leg
-  /// Step (4) sequencing: (deadline, leg, task_index) — the tuple order is
-  /// exactly the legacy `Chosen` comparator.
+  /// Step (4) sequencing: (deadline, leg, task_index).
   std::vector<std::tuple<Time, std::size_t, std::size_t>> chosen;
 };
 
@@ -81,15 +83,17 @@ class SpiderScheduler {
   static SpiderTransformation transform(const Spider& spider, Time t_lim, std::size_t cap);
 
   /// Decision form: a feasible spider schedule of the maximum number of
-  /// tasks (at most `cap`) completing by `t_lim`.
+  /// tasks (at most `cap`) completing by `t_lim`.  `schedule_within_into`
+  /// on a fresh scratch.
   static SpiderSchedule schedule_within(const Spider& spider, Time t_lim, std::size_t cap);
 
   /// Count-only decision form (private scratch; see `count_within`).
   static std::size_t max_tasks(const Spider& spider, Time t_lim, std::size_t cap);
 
   /// Allocation-free counting: runs the per-leg backward counting and the
-  /// count-only Moore–Hodgson selection entirely in `scratch`, never
-  /// materializing leg schedules or virtual-node vectors.  Returns exactly
+  /// run-kernel selection entirely in `scratch` (per-leg counts left in
+  /// `scratch.counts`), never materializing leg schedules or virtual-node
+  /// vectors.  Returns exactly
   /// `schedule_within(spider, t_lim, cap).tasks.size()`.  Both the makespan
   /// form's horizon search and the registry's `materialize == false` fast
   /// path run on this.
@@ -125,21 +129,22 @@ class SpiderScheduler {
   static SpiderSchedule schedule(const Spider& spider, const Workload& workload);
 
   // -------------------------------------------------------------------------
-  // Scratch-reusing materialization: bit-identical to the value-returning
-  // forms (pinned by tests/test_zero_alloc.cpp), rebuilding `out` in place so
-  // repeated solves on warm scratch perform zero heap allocations.
+  // Scratch-reusing materialization: the value-returning forms are these on
+  // a fresh scratch; `out` is rebuilt in place, so repeated solves on warm
+  // scratch perform zero heap allocations (tests/test_zero_alloc.cpp).
 
-  /// In-place twin of `schedule_within(spider, t_lim, cap)`: per-leg builds
-  /// through the chain `_into` path into pooled leg slots, virtual nodes
-  /// enumerated in the exact `transform` order (leg-major, ascending first
-  /// emission — node ids must match for Moore–Hodgson tie-breaking), then
-  /// the identical selection / trim / EDD re-sequencing.
+  /// In-place form of `schedule_within(spider, t_lim, cap)`: per-leg builds
+  /// through the chain `_into` path into pooled leg slots, one run-kernel
+  /// pass over their node deadlines (leg order, so the tie-breaks are those
+  /// of `moore_hodgson` over the `transform` nodes), then the trim and the
+  /// EDD re-sequencing.
   static void schedule_within_into(const Spider& spider, Time t_lim, std::size_t cap,
                                    SpiderSolveScratch& scratch, SpiderSchedule& out);
 
   /// In-place form of `schedule(spider, n)` (which is this on a fresh
-  /// scratch): horizon search, build, normalize.  Returns the number of
-  /// count probes the search made — a deterministic work count.
+  /// scratch): horizon search, leg build at the horizon, revert from the
+  /// kept counts, normalize.  Returns the number of count probes the search
+  /// made — a deterministic work count.
   static std::size_t schedule_into(const Spider& spider, std::size_t n,
                                    SpiderSolveScratch& scratch, SpiderSchedule& out);
 };

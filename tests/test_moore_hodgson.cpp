@@ -1,12 +1,21 @@
 // Tests of the one-machine deadline selector (Moore–Hodgson) underlying the
-// fork algorithm, including optimality against subset enumeration.
+// fork algorithm, including optimality against subset enumeration, and of
+// its run-merged kernel against the generic selection — on random run sets
+// and on the fork/spider node sets, rebuilt here the way the schedulers
+// used to build them.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <vector>
 
 #include "mst/common/rng.hpp"
+#include "mst/core/fork_scheduler.hpp"
 #include "mst/core/moore_hodgson.hpp"
+#include "mst/core/spider_scheduler.hpp"
+#include "mst/core/virtual_nodes.hpp"
+#include "mst/platform/generator.hpp"
 
 namespace mst {
 namespace {
@@ -107,6 +116,208 @@ TEST_P(MooreHodgsonProperty, MatchesExhaustiveOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MooreHodgsonProperty,
                          ::testing::Values(101u, 202u, 303u, 404u, 505u));
+
+// ---------------------------------------------------------------------------
+// The run kernel
+
+/// Runs given as (proc, ascending deadlines); flattened for the kernel.
+struct RunSet {
+  std::vector<JobRun> runs;
+  std::vector<Time> deadlines;
+
+  void add(Time proc, std::vector<Time> run_deadlines) {
+    std::sort(run_deadlines.begin(), run_deadlines.end());
+    const std::size_t begin = deadlines.size();
+    deadlines.insert(deadlines.end(), run_deadlines.begin(), run_deadlines.end());
+    runs.push_back(JobRun{proc, begin, deadlines.size()});
+  }
+};
+
+/// The oracle: generic `moore_hodgson` on the concatenated runs with
+/// run-major ids, its selected ids mapped back to runs.
+std::vector<std::size_t> oracle_counts(const RunSet& set) {
+  std::vector<DeadlineJob> jobs;
+  std::vector<std::size_t> run_of;
+  for (std::size_t i = 0; i < set.runs.size(); ++i) {
+    for (std::size_t j = set.runs[i].begin; j < set.runs[i].end; ++j) {
+      jobs.push_back({set.runs[i].proc, set.deadlines[j], jobs.size()});
+      run_of.push_back(i);
+    }
+  }
+  std::vector<std::size_t> counts(set.runs.size(), 0);
+  for (const std::size_t id : moore_hodgson(std::move(jobs))) ++counts[run_of[id]];
+  return counts;
+}
+
+/// Checks the kernel against the oracle on one run set (and once more on
+/// the same scratch, which must not leak state between passes).
+void expect_matches_oracle(const RunSet& set, RunSelectScratch& scratch, const char* what) {
+  const std::vector<std::size_t> want = oracle_counts(set);
+  std::size_t want_total = 0;
+  for (const std::size_t c : want) want_total += c;
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<std::size_t> counts{99};
+    EXPECT_EQ(moore_hodgson_runs(set.runs, set.deadlines, scratch, counts), want_total) << what;
+    EXPECT_EQ(counts, want) << what;
+  }
+}
+
+TEST(MooreHodgsonRuns, NoRunsAndEmptyRuns) {
+  RunSelectScratch scratch;
+  std::vector<std::size_t> counts{7};
+  EXPECT_EQ(moore_hodgson_runs({}, {}, scratch, counts), 0u);
+  EXPECT_TRUE(counts.empty());
+
+  RunSet set;
+  set.add(3, {});
+  set.add(0, {});
+  EXPECT_EQ(moore_hodgson_runs(set.runs, set.deadlines, scratch, counts), 0u);
+  EXPECT_EQ(counts, (std::vector<std::size_t>{0, 0}));
+}
+
+TEST(MooreHodgsonRuns, SingleRunTakesWhatFits) {
+  RunSelectScratch scratch;
+  RunSet set;
+  set.add(3, {2, 3, 5, 6, 7, 30});  // 2 < proc: never; then 3, 6, and 30 fit
+  std::vector<std::size_t> counts;
+  EXPECT_EQ(moore_hodgson_runs(set.runs, set.deadlines, scratch, counts), 3u);
+  EXPECT_EQ(counts, (std::vector<std::size_t>{3}));
+  expect_matches_oracle(set, scratch, "p = 1");
+}
+
+TEST(MooreHodgsonRuns, LongerRunIsEvictedFirst) {
+  // The long job fits alone, then two short ones overflow deadline 5: the
+  // long one goes, as in `DropsExactlyTheLongJob`.
+  RunSelectScratch scratch;
+  RunSet set;
+  set.add(4, {4});
+  set.add(2, {5, 7});
+  std::vector<std::size_t> counts;
+  EXPECT_EQ(moore_hodgson_runs(set.runs, set.deadlines, scratch, counts), 2u);
+  EXPECT_EQ(counts, (std::vector<std::size_t>{0, 2}));
+}
+
+TEST(MooreHodgsonRuns, TiesEvictTheHigherRunIndex) {
+  // Equal procs and equal deadlines everywhere: the generic rule evicts the
+  // largest id, i.e. the last run — so the earlier runs keep their jobs.
+  RunSelectScratch scratch;
+  RunSet set;
+  for (int i = 0; i < 4; ++i) set.add(2, {4, 4, 6});
+  std::vector<std::size_t> counts;
+  EXPECT_EQ(moore_hodgson_runs(set.runs, set.deadlines, scratch, counts), 3u);
+  EXPECT_EQ(counts, oracle_counts(set));
+  expect_matches_oracle(set, scratch, "all tied");
+}
+
+TEST(MooreHodgsonRuns, ZeroProcJobsAlwaysFit) {
+  RunSelectScratch scratch;
+  RunSet set;
+  set.add(0, {0, 0, 1});
+  set.add(5, {5, 5});
+  set.add(0, {-1});  // a negative deadline is missed even at zero length
+  std::vector<std::size_t> counts;
+  EXPECT_EQ(moore_hodgson_runs(set.runs, set.deadlines, scratch, counts), 4u);
+  EXPECT_EQ(counts, (std::vector<std::size_t>{3, 1, 0}));
+  expect_matches_oracle(set, scratch, "zero procs");
+}
+
+class MooreHodgsonRunsProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MooreHodgsonRunsProperty, MatchesGenericSelection) {
+  // Small value ranges force ties across runs (equal deadlines, equal
+  // procs), proc = 0 and deadlines below proc; runs may be empty.
+  Rng rng(GetParam());
+  RunSelectScratch scratch;  // shared across sets of every size
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto p = static_cast<std::size_t>(rng.uniform(1, 7));
+    const Time max_proc = rng.uniform(0, 6);
+    const Time max_deadline = rng.uniform(0, 40);
+    RunSet set;
+    for (std::size_t i = 0; i < p; ++i) {
+      std::vector<Time> deadlines(static_cast<std::size_t>(rng.uniform(0, 9)));
+      for (Time& d : deadlines) d = rng.uniform(-2, max_deadline);
+      set.add(rng.uniform(0, max_proc), std::move(deadlines));
+    }
+    expect_matches_oracle(set, scratch, "random run set");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MooreHodgsonRunsProperty,
+                         ::testing::Values(11u, 22u, 33u, 44u, 55u));
+
+// ---------------------------------------------------------------------------
+// The fork/spider selections against the generic pipeline
+
+/// Selected nodes per source of the generic pipeline: node ids in
+/// expansion order, generic Moore–Hodgson, ids mapped to `source`.
+std::vector<std::size_t> generic_counts(const std::vector<VirtualNode>& nodes, Time t_lim,
+                                        std::size_t sources) {
+  std::vector<DeadlineJob> jobs;
+  for (std::size_t idx = 0; idx < nodes.size(); ++idx) {
+    jobs.push_back({nodes[idx].comm, nodes[idx].deadline(t_lim), idx});
+  }
+  std::vector<std::size_t> counts(sources, 0);
+  for (const std::size_t id : moore_hodgson(std::move(jobs))) ++counts[nodes[id].source];
+  return counts;
+}
+
+/// Sets every first-link latency to zero with probability 1/3.
+std::vector<Processor> zero_some_links(Rng& rng, std::vector<Processor> procs) {
+  for (Processor& proc : procs) {
+    if (rng.uniform(0, 2) == 0) proc.comm = 0;
+  }
+  return procs;
+}
+
+constexpr PlatformClass kClasses[] = {PlatformClass::kUniform, PlatformClass::kCommBound,
+                                      PlatformClass::kComputeBound, PlatformClass::kCorrelated,
+                                      PlatformClass::kAntiCorrelated};
+
+TEST(RunKernelCrossCheck, ForkCountsMatchGenericPipeline) {
+  Rng rng(1401);
+  ForkCountScratch scratch;
+  for (const PlatformClass cls : kClasses) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const auto p = static_cast<std::size_t>(rng.uniform(1, 9));
+      const Fork drawn = random_fork(rng, p, GeneratorParams{1, 12, cls});
+      const Fork fork(trial % 2 == 0 ? drawn.slaves() : zero_some_links(rng, drawn.slaves()));
+      const auto cap = static_cast<std::size_t>(rng.uniform(1, 30));
+      for (Time t = 0; t <= 80; ++t) {
+        const std::vector<std::size_t> want =
+            generic_counts(expand_fork(fork, t, cap), t, fork.size());
+        std::size_t total = 0;
+        for (const std::size_t c : want) total += c;
+        EXPECT_EQ(ForkScheduler::count_within(fork, t, cap, scratch), std::min(total, cap));
+        EXPECT_EQ(scratch.counts, want) << fork.describe() << " T=" << t << " cap=" << cap;
+      }
+    }
+  }
+}
+
+TEST(RunKernelCrossCheck, SpiderCountsMatchGenericPipeline) {
+  Rng rng(1402);
+  SpiderCountScratch scratch;
+  for (const PlatformClass cls : kClasses) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto legs = static_cast<std::size_t>(rng.uniform(1, 6));
+      const Spider drawn = random_spider(rng, legs, 3, GeneratorParams{1, 12, cls});
+      std::vector<Chain> chains;
+      for (const Chain& leg : drawn.legs()) {
+        chains.emplace_back(trial % 2 == 0 ? leg.procs() : zero_some_links(rng, leg.procs()));
+      }
+      const Spider spider(std::move(chains));
+      const auto cap = static_cast<std::size_t>(rng.uniform(1, 30));
+      for (Time t = 0; t <= 80; ++t) {
+        const SpiderTransformation tf = SpiderScheduler::transform(spider, t, cap);
+        const std::vector<std::size_t> want = generic_counts(tf.nodes, t, spider.num_legs());
+        std::size_t total = 0;
+        for (const std::size_t c : want) total += c;
+        EXPECT_EQ(SpiderScheduler::count_within(spider, t, cap, scratch), std::min(total, cap));
+        EXPECT_EQ(scratch.counts, want) << spider.describe() << " T=" << t << " cap=" << cap;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace mst
