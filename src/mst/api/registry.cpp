@@ -583,26 +583,13 @@ bool decision_maximal(std::size_t tasks, std::size_t cap, const Workload* pool) 
   return tasks < cap;
 }
 
-/// Wraps a core decision-form schedule (`schedule_within` family) into a
-/// DecisionResult.  The core schedules stay absolute in `[0, deadline]`, so
-/// `makespan() <= deadline` by construction; an empty selection yields a
-/// payload-free result.  A count that hit `cap` may be truncated, so it is
-/// only reported as provably maximal when it also exhausted a finite pool.
-template <typename Schedule>
-DecisionResult decision_from_schedule(const char* algorithm, PlatformKind kind, Time deadline,
-                                      bool optimal, std::size_t cap, const Workload* pool,
-                                      Schedule schedule) {
-  const std::size_t tasks = schedule.num_tasks();
-  const Time makespan = schedule.makespan();
-  AnySchedule payload;
-  if (tasks > 0) payload = std::move(schedule);
-  return make_decision(algorithm, kind, deadline, tasks, makespan,
-                       optimal && decision_maximal(tasks, cap, pool), std::move(payload));
-}
-
-/// `decision_from_schedule` for a pooled schedule: moves the pool into the
-/// payload only when nonempty, so an empty window never discards the pool's
-/// warm buffers.
+/// Wraps a core decision-form schedule (`schedule_within` family, often a
+/// pooled one) into a DecisionResult.  The core schedules stay absolute in
+/// `[0, deadline]`, so `makespan() <= deadline` by construction.  The
+/// schedule moves into the payload only when nonempty: an empty selection
+/// yields a payload-free result and never discards a pool's warm buffers.
+/// A count that hit `cap` may be truncated, so it is only reported as
+/// provably maximal when it also exhausted a finite pool.
 template <typename Schedule>
 DecisionResult decision_from_pooled(const char* algorithm, PlatformKind kind, Time deadline,
                                     bool optimal, std::size_t cap, const Workload* pool,
@@ -631,6 +618,17 @@ struct Work {
         pool(options.scratch != nullptr ? options.scratch->*pool_member : own_pool) {}
 };
 
+/// `Work` for a solver whose only reusable buffer is its payload: the
+/// caller's pooled schedule, else a fresh local one.
+template <typename Schedule>
+struct PoolWork {
+  Schedule own_pool;
+  Schedule& pool;
+
+  PoolWork(const SolveOptions& options, Schedule SolveScratch::*pool_member)
+      : pool(options.scratch != nullptr ? options.scratch->*pool_member : own_pool) {}
+};
+
 /// Adds one makespan search's probe count to the deterministic
 /// `core.search.probes` counter (looked up once per solve, metrics on only).
 void count_search_probes(obs::MetricsRegistry* metrics, std::size_t probes) {
@@ -638,45 +636,28 @@ void count_search_probes(obs::MetricsRegistry* metrics, std::size_t probes) {
   metrics->counter("core.search.probes").add(static_cast<std::int64_t>(probes));
 }
 
-/// Decision form of the exhaustive oracles: exact count from the monotone
+/// Decision form of the exhaustive oracles, given one platform kind's
+/// brute-force count, schedule and makespan: exact count from the monotone
 /// makespan staircase, optionally materialized as the optimal schedule of
 /// that count (its makespan fits the window by definition of the count).
-DecisionResult chain_brute_force_decision(const Chain& chain, Time deadline,
-                                          const SolveOptions& options) {
+template <typename P, typename Schedule>
+DecisionResult brute_force_decision(PlatformKind kind, const P& platform, Time deadline,
+                                    const SolveOptions& options,
+                                    std::size_t (*max_tasks)(const P&, Time, std::size_t),
+                                    Schedule (*schedule_of)(const P&, std::size_t),
+                                    Time (*makespan_of)(const P&, std::size_t)) {
   const Workload* pool = pool_of(options);
   const std::size_t cap = decision_cap(options, pool);
-  const std::size_t tasks =
-      deadline > 0 && cap > 0 ? brute_force_chain_max_tasks(chain, deadline, cap) : 0;
+  const std::size_t tasks = deadline > 0 && cap > 0 ? max_tasks(platform, deadline, cap) : 0;
   Time makespan = 0;
   AnySchedule payload;
   if (tasks > 0) {
     if (options.materialize) {
-      ChainSchedule schedule = brute_force_chain_schedule(chain, tasks);
+      Schedule schedule = schedule_of(platform, tasks);
       makespan = schedule.makespan();
       payload = std::move(schedule);
     } else {
-      makespan = brute_force_chain_makespan(chain, tasks);
-    }
-  }
-  return make_decision("brute-force", PlatformKind::kChain, deadline, tasks, makespan,
-                       /*optimal=*/decision_maximal(tasks, cap, pool), std::move(payload));
-}
-
-DecisionResult spider_brute_force_decision(PlatformKind kind, const Spider& spider, Time deadline,
-                                           const SolveOptions& options) {
-  const Workload* pool = pool_of(options);
-  const std::size_t cap = decision_cap(options, pool);
-  const std::size_t tasks =
-      deadline > 0 && cap > 0 ? brute_force_spider_max_tasks(spider, deadline, cap) : 0;
-  Time makespan = 0;
-  AnySchedule payload;
-  if (tasks > 0) {
-    if (options.materialize) {
-      SpiderSchedule schedule = brute_force_spider_schedule(spider, tasks);
-      makespan = schedule.makespan();
-      payload = std::move(schedule);
-    } else {
-      makespan = brute_force_spider_makespan(spider, tasks);
+      makespan = makespan_of(platform, tasks);
     }
   }
   return make_decision("brute-force", kind, deadline, tasks, makespan,
@@ -776,6 +757,8 @@ void register_chain_algorithms(Registry& r) {
           if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
+          const Workload stream = Workload::identical(cap);  // a count: allocates nothing
+          const Workload& tasks = pool != nullptr ? *pool : stream;
           Work work(opts, &SolveScratch::chain, &SolveScratch::chain_pool);
           if (!opts.materialize) {
             // Allocation-free counting once the scratch is warm: no
@@ -783,19 +766,13 @@ void register_chain_algorithms(Registry& r) {
             // construction always ends exactly at the horizon, so the
             // completion time is `deadline` itself (release dates included
             // — the horizon anchor is unchanged).
-            const std::size_t tasks =
-                pool != nullptr ? ChainScheduler::count_within(chain, deadline, *pool,
-                                                               decision_cap(opts), work.scratch)
-                                : ChainScheduler::count_within(chain, deadline, cap, work.scratch);
-            return make_decision("optimal", k, deadline, tasks, tasks > 0 ? deadline : 0,
-                                 /*optimal=*/decision_maximal(tasks, cap, pool), {});
+            const std::size_t count =
+                ChainScheduler::count_within(chain, deadline, tasks, cap, work.scratch);
+            return make_decision("optimal", k, deadline, count, count > 0 ? deadline : 0,
+                                 /*optimal=*/decision_maximal(count, cap, pool), {});
           }
-          if (pool != nullptr) {
-            ChainScheduler::schedule_within_into(chain, deadline, *pool, decision_cap(opts),
-                                                 work.scratch, work.pool);
-          } else {
-            ChainScheduler::schedule_within_into(chain, deadline, cap, work.scratch, work.pool);
-          }
+          ChainScheduler::schedule_within_into(chain, deadline, tasks, cap, work.scratch,
+                                               work.pool);
           return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
                                       work.pool);
         });
@@ -839,10 +816,37 @@ void register_chain_algorithms(Registry& r) {
           return chain_result("brute-force", brute_force_chain_schedule(chain, w.count()),
                               w.count(), true);
         },
-        [](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return chain_brute_force_decision(expect_chain(p, "brute-force"), deadline, opts);
+        [k](const Platform& p, Time deadline, const SolveOptions& opts) {
+          return brute_force_decision(k, expect_chain(p, "brute-force"), deadline, opts,
+                                      brute_force_chain_max_tasks, brute_force_chain_schedule,
+                                      brute_force_chain_makespan);
         });
   register_replan(r, k);
+}
+
+/// Registers the three list-scheduling baselines of a fork or spider kind,
+/// run on the spider form `as_spider(platform, name)` of its platforms.
+template <typename AsSpider>
+void register_spider_baselines(Registry& r, PlatformKind k, const char* single_node_summary,
+                               AsSpider as_spider) {
+  struct Baseline {
+    const char* name;
+    const char* summary;
+    SpiderSchedule (*run)(const Spider&, const Workload&);
+  };
+  const Baseline baselines[] = {
+      {"forward-greedy", "earliest-completion-time list scheduling", forward_greedy_spider},
+      {"round-robin", "heterogeneity-blind cyclic dispatch", round_robin_spider},
+      {"single-node", single_node_summary, single_node_spider},
+  };
+  for (const Baseline& b : baselines) {
+    r.add({k, b.name, b.summary, /*optimal=*/false, /*exponential=*/false, kSizesAndRelease},
+          [k, b, as_spider](const Platform& p, const Workload& w, const SolveOptions&) {
+            require_tasks(w);
+            return spider_result(b.name, k, b.run(as_spider(p, b.name), w), w.count(), false);
+          },
+          nullptr);
+  }
 }
 
 void register_fork_algorithms(Registry& r) {
@@ -852,51 +856,40 @@ void register_fork_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Fork& fork = expect_fork(p, "optimal");
-          if (w.has_release_dates()) {
-            // The positional-release selection commits to one EDD emission
-            // order, which exhaustive search beats on some instances: the
-            // schedule is feasible, not proven optimal.
-            ForkSchedule schedule = ForkScheduler::schedule(fork, w);
-            const Time lb = spider_makespan_lower_bound(Spider::from_fork(fork), w.count());
-            const Time makespan = schedule.makespan();
-            return make_result("optimal", k, w.count(), makespan, lb, false, std::move(schedule));
-          }
+          // The positional-release selection commits to one EDD emission
+          // order, which exhaustive search beats on some instances: a
+          // released schedule is feasible, not proven optimal, and its
+          // search probes are not counted.
+          const bool exact = !w.has_release_dates();
           Work work(opts, &SolveScratch::fork, &SolveScratch::fork_pool);
-          count_search_probes(opts.metrics, ForkScheduler::schedule_into(fork, w.count(),
-                                                                         work.scratch, work.pool));
+          const std::size_t probes =
+              ForkScheduler::schedule_into(fork, w, work.scratch, work.pool);
+          if (exact) count_search_probes(opts.metrics, probes);
           const Time lb = fork_makespan_lower_bound(fork, w.count(), work.scratch.bound);
           const Time makespan = work.pool.makespan();
-          return make_result("optimal", k, w.count(), makespan, lb, true, std::move(work.pool));
+          return make_result("optimal", k, w.count(), makespan, lb, exact, std::move(work.pool));
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           const Fork& fork = expect_fork(p, "optimal");
           if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
-          if (pool != nullptr && pool->has_release_dates()) {
-            // Unlike chain/spider, a fork decision makespan is the EDD
-            // packing's completion time (not the horizon), so a count-only
-            // path cannot report it without the DP's selection — released
-            // pools therefore go through the materializing construction
-            // even when `materialize` is off (the payload is stripped by
-            // the wrapper; pools are sweep-sized, so this stays cheap).
-            // Not proven maximal: see the released makespan form above.
-            return decision_from_schedule(
-                "optimal", k, deadline, /*optimal=*/false, cap, pool,
-                ForkScheduler::schedule_within(fork, deadline, *pool, decision_cap(opts)));
-          }
+          const Workload stream = Workload::identical(cap);  // a count: allocates nothing
+          const Workload& tasks = pool != nullptr ? *pool : stream;
+          // Not proven maximal for a released pool: see the makespan form.
+          const bool exact = !tasks.has_release_dates();
           Work work(opts, &SolveScratch::fork, &SolveScratch::fork_pool);
           if (!opts.materialize) {
             // Count + makespan without building task vectors: the same
-            // selection, trim and EDD sequencing as the materializing path.
-            const auto [tasks, makespan] =
-                ForkScheduler::makespan_within(fork, deadline, cap, work.scratch);
-            return make_decision("optimal", k, deadline, tasks, makespan,
-                                 /*optimal=*/decision_maximal(tasks, cap, pool), {});
+            // selection, trim (or release replay) and EDD sequencing as
+            // the materializing path.
+            const auto [count, makespan] =
+                ForkScheduler::makespan_within(fork, deadline, tasks, cap, work.scratch);
+            return make_decision("optimal", k, deadline, count, makespan,
+                                 /*optimal=*/exact && decision_maximal(count, cap, pool), {});
           }
-          ForkScheduler::schedule_within_into(fork, deadline, cap, work.scratch, work.pool);
-          return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
-                                      work.pool);
+          ForkScheduler::schedule_within_into(fork, deadline, tasks, cap, work.scratch, work.pool);
+          return decision_from_pooled("optimal", k, deadline, exact, cap, pool, work.pool);
         });
   r.add({k, "greedy", "the paper's ascending-c greedy (Beaumont et al.)", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
@@ -913,38 +906,14 @@ void register_fork_algorithms(Registry& r) {
           if (deadline <= 0) return make_decision("greedy", k, deadline, 0, 0, false, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
-          return decision_from_schedule(
-              "greedy", k, deadline, /*optimal=*/false, cap, pool,
-              ForkScheduler::greedy_schedule_within(fork, deadline, cap));
+          ForkSchedule schedule = ForkScheduler::greedy_schedule_within(fork, deadline, cap);
+          return decision_from_pooled("greedy", k, deadline, /*optimal=*/false, cap, pool,
+                                      schedule);
         });
-  r.add({k, "forward-greedy", "earliest-completion-time list scheduling", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Fork& fork = expect_fork(p, "forward-greedy");
-          return spider_result("forward-greedy", k,
-                               forward_greedy_spider(Spider::from_fork(fork), w), w.count(),
-                               false);
-        },
-        nullptr);
-  r.add({k, "round-robin", "heterogeneity-blind cyclic dispatch", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Fork& fork = expect_fork(p, "round-robin");
-          return spider_result("round-robin", k,
-                               round_robin_spider(Spider::from_fork(fork), w), w.count(), false);
-        },
-        nullptr);
-  r.add({k, "single-node", "best single-slave pipeline", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Fork& fork = expect_fork(p, "single-node");
-          return spider_result("single-node", k,
-                               single_node_spider(Spider::from_fork(fork), w), w.count(), false);
-        },
-        nullptr);
+  register_spider_baselines(r, k, "best single-slave pipeline",
+                            [](const Platform& p, const char* name) {
+                              return Spider::from_fork(expect_fork(p, name));
+                            });
   r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
          /*exponential=*/true, WorkloadFeatures{}},
         [k](const Platform& p, const Workload& w, const SolveOptions&) {
@@ -955,8 +924,9 @@ void register_fork_algorithms(Registry& r) {
                                w.count(), true);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          const Fork& fork = expect_fork(p, "brute-force");
-          return spider_brute_force_decision(k, Spider::from_fork(fork), deadline, opts);
+          return brute_force_decision(k, Spider::from_fork(expect_fork(p, "brute-force")),
+                                      deadline, opts, brute_force_spider_max_tasks,
+                                      brute_force_spider_schedule, brute_force_spider_makespan);
         });
   register_replan(r, k);
 }
@@ -968,76 +938,44 @@ void register_spider_algorithms(Registry& r) {
         [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Spider& spider = expect_spider(p, "optimal");
-          if (w.has_release_dates()) {
-            // Feasible, not proven optimal (see the fork entry).
-            return spider_result("optimal", k, SpiderScheduler::schedule(spider, w), w.count(),
-                                 false);
-          }
+          // Released: feasible, not proven optimal (see the fork entry).
+          const bool exact = !w.has_release_dates();
           Work work(opts, &SolveScratch::spider, &SolveScratch::spider_pool);
-          count_search_probes(opts.metrics, SpiderScheduler::schedule_into(
-                                                spider, w.count(), work.scratch, work.pool));
+          const std::size_t probes =
+              SpiderScheduler::schedule_into(spider, w, work.scratch, work.pool);
+          if (exact) count_search_probes(opts.metrics, probes);
           const Time lb = spider_makespan_lower_bound(spider, w.count(), work.scratch.count.bound);
           const Time makespan = work.pool.makespan();
-          return make_result("optimal", k, w.count(), makespan, lb, true, std::move(work.pool));
+          return make_result("optimal", k, w.count(), makespan, lb, exact, std::move(work.pool));
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
           const Spider& spider = expect_spider(p, "optimal");
           if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
           const Workload* pool = pool_of(opts);
           const std::size_t cap = decision_cap(opts, pool);
+          const Workload stream = Workload::identical(cap);  // a count: allocates nothing
+          const Workload& tasks = pool != nullptr ? *pool : stream;
           // A released pool is not proven maximal: see the fork entry.
-          const bool released = pool != nullptr && pool->has_release_dates();
+          const bool exact = !tasks.has_release_dates();
           Work work(opts, &SolveScratch::spider, &SolveScratch::spider_pool);
           if (!opts.materialize) {
             // Counting only (per-leg backward count + the run-kernel
             // selection, positional-release DP when the pool has release
             // dates); any kept leg's latest task ends at the horizon, so a
             // nonempty count completes exactly at `deadline`.
-            SpiderCountScratch& scratch = work.scratch.count;
-            const std::size_t tasks =
-                released ? SpiderScheduler::count_within(spider, deadline, *pool,
-                                                         decision_cap(opts), scratch)
-                         : SpiderScheduler::count_within(spider, deadline, cap, scratch);
-            return make_decision("optimal", k, deadline, tasks, tasks > 0 ? deadline : 0,
-                                 /*optimal=*/!released && decision_maximal(tasks, cap, pool),
-                                 {});
+            const std::size_t count =
+                SpiderScheduler::count_within(spider, deadline, tasks, cap, work.scratch.count);
+            return make_decision("optimal", k, deadline, count, count > 0 ? deadline : 0,
+                                 /*optimal=*/exact && decision_maximal(count, cap, pool), {});
           }
-          if (released) {
-            return decision_from_schedule(
-                "optimal", k, deadline, /*optimal=*/false, cap, pool,
-                SpiderScheduler::schedule_within(spider, deadline, *pool, decision_cap(opts)));
-          }
-          SpiderScheduler::schedule_within_into(spider, deadline, cap, work.scratch, work.pool);
-          return decision_from_pooled("optimal", k, deadline, /*optimal=*/true, cap, pool,
-                                      work.pool);
+          SpiderScheduler::schedule_within_into(spider, deadline, tasks, cap, work.scratch,
+                                                work.pool);
+          return decision_from_pooled("optimal", k, deadline, exact, cap, pool, work.pool);
         });
-  r.add({k, "forward-greedy", "earliest-completion-time list scheduling", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Spider& spider = expect_spider(p, "forward-greedy");
-          return spider_result("forward-greedy", k, forward_greedy_spider(spider, w), w.count(),
-                               false);
-        },
-        nullptr);
-  r.add({k, "round-robin", "heterogeneity-blind cyclic dispatch", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Spider& spider = expect_spider(p, "round-robin");
-          return spider_result("round-robin", k, round_robin_spider(spider, w), w.count(),
-                               false);
-        },
-        nullptr);
-  r.add({k, "single-node", "best single-processor pipeline over all legs", /*optimal=*/false,
-         /*exponential=*/false, kSizesAndRelease},
-        [k](const Platform& p, const Workload& w, const SolveOptions&) {
-          require_tasks(w);
-          const Spider& spider = expect_spider(p, "single-node");
-          return spider_result("single-node", k, single_node_spider(spider, w), w.count(),
-                               false);
-        },
-        nullptr);
+  register_spider_baselines(r, k, "best single-processor pipeline over all legs",
+                            [](const Platform& p, const char* name) -> const Spider& {
+                              return expect_spider(p, name);
+                            });
   r.add({k, "brute-force", "exhaustive destination-sequence search", /*optimal=*/true,
          /*exponential=*/true, WorkloadFeatures{}},
         [k](const Platform& p, const Workload& w, const SolveOptions&) {
@@ -1047,7 +985,9 @@ void register_spider_algorithms(Registry& r) {
                                w.count(), true);
         },
         [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          return spider_brute_force_decision(k, expect_spider(p, "brute-force"), deadline, opts);
+          return brute_force_decision(k, expect_spider(p, "brute-force"), deadline, opts,
+                                      brute_force_spider_max_tasks, brute_force_spider_schedule,
+                                      brute_force_spider_makespan);
         });
   register_replan(r, k);
 }
@@ -1060,62 +1000,43 @@ void register_tree_algorithms(Registry& r) {
   // their per-solve allocation count is independent of `n`.
   r.add({k, "spider-cover", "optimal plan on the best-rate spider cover (section 8)",
          /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
+        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Tree& tree = expect_tree(p, "spider-cover");
-          const std::size_t n = w.count();
-          if (opts.scratch != nullptr) {
-            TreeDispatch& pooled = opts.scratch->tree_pool;
-            Time makespan = 0;
-            schedule_tree_via_cover_into(tree, n, opts.scratch->tree_cover, pooled.dests,
-                                         makespan);
-            pooled.tree = tree;
-            return make_result("spider-cover", PlatformKind::kTree, n, makespan,
-                               /*lower_bound=*/0, /*optimal=*/false, std::move(pooled));
-          }
-          TreeScheduleResult plan = schedule_tree_via_cover(tree, n);
-          return tree_result("spider-cover", tree, std::move(plan.destinations), plan.makespan,
-                             n);
+          Work work(opts, &SolveScratch::tree_cover, &SolveScratch::tree_pool);
+          Time makespan = 0;
+          schedule_tree_via_cover_into(tree, w.count(), work.scratch, work.pool.dests, makespan);
+          work.pool.tree = tree;
+          return make_result("spider-cover", k, w.count(), makespan, /*lower_bound=*/0,
+                             /*optimal=*/false, std::move(work.pool));
         },
         nullptr);
   r.add({k, "forward-greedy", "earliest-completion-time dispatch on the full tree",
          /*optimal=*/false, /*exponential=*/false, WorkloadFeatures{}},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
+        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Tree& tree = expect_tree(p, "forward-greedy");
-          const std::size_t n = w.count();
-          if (opts.scratch != nullptr) {
-            TreeDispatch& pooled = opts.scratch->tree_pool;
-            TreeAsapState state(tree);  // tree-shaped, so n-independent
-            const Time makespan = forward_greedy_tree_into(n, state, pooled.dests);
-            pooled.tree = tree;
-            return make_result("forward-greedy", PlatformKind::kTree, n, makespan,
-                               /*lower_bound=*/0, /*optimal=*/false, std::move(pooled));
-          }
-          std::vector<NodeId> dests = forward_greedy_tree(tree, n);
-          const Time makespan = asap_tree_makespan(tree, dests);
-          return tree_result("forward-greedy", tree, std::move(dests), makespan, n);
+          PoolWork work(opts, &SolveScratch::tree_pool);
+          TreeAsapState state(tree);  // tree-shaped, so n-independent
+          const Time makespan = forward_greedy_tree_into(w.count(), state, work.pool.dests);
+          work.pool.tree = tree;
+          return make_result("forward-greedy", k, w.count(), makespan, /*lower_bound=*/0,
+                             /*optimal=*/false, std::move(work.pool));
         },
         nullptr);
   r.add({k, "local-search", "greedy start + reassign/swap descent", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
-        [](const Platform& p, const Workload& w, const SolveOptions& opts) {
+        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
           require_tasks(w);
           const Tree& tree = expect_tree(p, "local-search");
-          const std::size_t n = w.count();
-          if (opts.scratch != nullptr) {
-            TreeDispatch& pooled = opts.scratch->tree_pool;
-            TreeAsapState state(tree);
-            forward_greedy_tree_into(n, state, pooled.dests);
-            LocalSearchResult improved = improve_tree_dispatch(tree, std::move(pooled.dests));
-            pooled.dests = std::move(improved.dests);
-            pooled.tree = tree;
-            return make_result("local-search", PlatformKind::kTree, n, improved.makespan,
-                               /*lower_bound=*/0, /*optimal=*/false, std::move(pooled));
-          }
-          LocalSearchResult improved = local_search_tree(tree, n);
-          return tree_result("local-search", tree, std::move(improved.dests), improved.makespan,
-                             n);
+          PoolWork work(opts, &SolveScratch::tree_pool);
+          TreeAsapState state(tree);
+          forward_greedy_tree_into(w.count(), state, work.pool.dests);
+          LocalSearchResult improved = improve_tree_dispatch(tree, std::move(work.pool.dests));
+          work.pool.dests = std::move(improved.dests);
+          work.pool.tree = tree;
+          return make_result("local-search", k, w.count(), improved.makespan,
+                             /*lower_bound=*/0, /*optimal=*/false, std::move(work.pool));
         },
         nullptr);
   // The online policies run on the discrete-event simulator, which executes

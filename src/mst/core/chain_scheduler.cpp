@@ -253,7 +253,7 @@ void ChainScheduler::schedule_into(const Chain& chain, const Workload& workload,
   // the horizon makes it exact.  The floor adds the release term: the last
   // emission cannot start before the last release, and that task alone
   // still needs a one-task makespan.
-  const Time ceiling = workload.last_release() + chain.t_infinity(n);
+  const Time ceiling = released_ceiling(chain.t_infinity(n), workload.last_release());
   const Time lower =
       std::max(chain_makespan_lower_bound(chain, n),
                workload.last_release() + chain_makespan_lower_bound(chain, 1));

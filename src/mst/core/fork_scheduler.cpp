@@ -44,29 +44,13 @@ void require_uniform_sizes(const Workload& workload) {
 // (dynamic twins: tests/test_counting.cpp and tests/test_zero_alloc.cpp).
 // mstlint: zero-alloc
 
-/// Appends the Fig 6 virtual nodes of every slave to `jobs` without
-/// materializing per-slave vectors (same node set as `expand_fork`, ids in
-/// the same order) — the positional-release selection's input.
-void append_fork_jobs(const Fork& fork, Time t_lim, std::size_t max_per_slave,
-                      std::vector<DeadlineJob>& jobs) {
-  for (std::size_t i = 0; i < fork.size(); ++i) {
-    const Processor& slave = fork.slave(i);
-    const Time m = std::max(slave.comm, slave.work);
-    for (std::size_t q = 0; q < max_per_slave; ++q) {
-      const Time exec = slave.work + static_cast<Time>(q) * m;
-      if (exec + slave.comm > t_lim) break;  // could never complete in the window
-      jobs.push_back(DeadlineJob{slave.comm, t_lim - exec, jobs.size()});
-    }
-  }
-}
-
-/// One selection pass at `t_lim`: every slave is one run of the kernel —
-/// its virtual nodes `q = 0..k−1` (Fig 6; `k` capped at `cap`, and only
-/// nodes with `exec + c <= t_lim`) have deadlines `t_lim − w − q·m`, listed
-/// here in ascending order.  Leaves the per-slave counts in
-/// `scratch.counts` and returns their total.
-std::size_t select_nodes(const Fork& fork, Time t_lim, std::size_t cap,
-                         ForkCountScratch& scratch) {
+/// The Fig 6 node set at `t_lim` as kernel runs: every slave is one run —
+/// its virtual nodes `q = 0..k−1` (`k` capped at `cap`, and only nodes with
+/// `exec + c <= t_lim`) have deadlines `t_lim − w − q·m`, listed here in
+/// ascending order.  Node ids of the generic pipeline (`expand_fork`) are
+/// slave-major, so the kernels' (deadline, rank) merge orders the nodes as
+/// the generic EDD key does.
+void build_runs(const Fork& fork, Time t_lim, std::size_t cap, ForkCountScratch& scratch) {
   scratch.deadlines.clear();
   scratch.runs.clear();
   for (std::size_t i = 0; i < fork.size(); ++i) {
@@ -84,6 +68,13 @@ std::size_t select_nodes(const Fork& fork, Time t_lim, std::size_t cap,
     scratch.runs.push_back(JobRun{slave.comm, begin, scratch.deadlines.size()});
   }
   ++scratch.selections;
+}
+
+/// One selection pass at `t_lim`: the run kernel over `build_runs`.
+/// Leaves the per-slave counts in `scratch.counts` and returns their total.
+std::size_t select_nodes(const Fork& fork, Time t_lim, std::size_t cap,
+                         ForkCountScratch& scratch) {
+  build_runs(fork, t_lim, cap, scratch);
   return moore_hodgson_runs(scratch.runs, scratch.deadlines, scratch.select, scratch.counts);
 }
 
@@ -152,47 +143,111 @@ void realize_into(const Fork& fork, Time t_lim, const std::vector<std::size_t>& 
   });
 }
 
+/// One released selection pass at `t_lim` of at most `k_cap` tasks: the
+/// positional-release kernel's select policy over `build_runs`, replayed
+/// in the kernel's own EDD sequence — position j's emission starts no
+/// earlier than the port and the j-th smallest release date, and the DP
+/// proved every completion meets its node's deadline.
+/// (Re-sorting after a normalization swap is NOT safe under positional
+/// releases — a job moved to a later position also inherits a later
+/// release.)  Per slave, the chosen ranks arrive in descending order, so
+/// the c-th arriving task has at least as many virtual slots behind it as
+/// tasks actually follow — the standard Fig 6 induction still bounds every
+/// completion by `t_lim`.  Calls `emit(slave, emission, start)` per task in
+/// emission order and returns the task count.
+template <typename Emit>
+std::size_t replay_released(const Fork& fork, Time t_lim, const Workload& workload,
+                            std::size_t k_cap, ForkCountScratch& scratch, Emit&& emit) {
+  build_runs(fork, t_lim, k_cap, scratch);
+  const std::size_t selected = moore_hodgson_released_runs(
+      scratch.runs, scratch.deadlines, workload.releases(), k_cap, scratch.select, &scratch.picked);
+  scratch.slave_free.assign(fork.size(), 0);
+  Time port = 0;
+  for (std::size_t position = 0; position < selected; ++position) {
+    const std::size_t i = scratch.picked[position];
+    const Processor& slave = fork.slave(i);
+    const Time emission = std::max(port, workload.releases()[position]);
+    port = emission + slave.comm;
+    const Time start = std::max(port, scratch.slave_free[i]);
+    scratch.slave_free[i] = start + slave.work;
+    MST_ASSERT(scratch.slave_free[i] <= t_lim);
+    emit(i, emission, start);
+  }
+  return selected;
+}
+
+/// One decision-form pass at `t_lim` over `workload` (capped at `cap`):
+/// the run kernel, the cap trim and the EDD sequencing, or the released
+/// kernel and its replay.  Calls `emit(slave, emission, start)` per task in
+/// emission order and returns the task count.
+template <typename Emit>
+std::size_t decide(const Fork& fork, Time t_lim, const Workload& workload, std::size_t cap,
+                   ForkCountScratch& scratch, Emit&& emit) {
+  require_uniform_sizes(workload);
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  const std::size_t k_cap = std::min(cap, workload.count());
+  if (workload.has_release_dates()) {
+    return replay_released(fork, t_lim, workload, k_cap, scratch, emit);
+  }
+  const std::size_t selected = std::min(select_nodes(fork, t_lim, k_cap, scratch), k_cap);
+  trim_to_cap(fork, k_cap, scratch.counts);
+  sequence(fork, t_lim, scratch.counts, scratch, emit);
+  return selected;
+}
+
 }  // namespace
 
 std::size_t ForkScheduler::count_within(const Fork& fork, Time t_lim, std::size_t cap,
                                         ForkCountScratch& scratch) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  // The cap trim only ever reduces the total to `cap`, so `min` reproduces
-  // the materialized count.
-  return std::min(select_nodes(fork, t_lim, cap, scratch), cap);
+  return count_within(fork, t_lim, Workload::identical(cap), cap, scratch);
 }
 
 std::pair<std::size_t, Time> ForkScheduler::makespan_within(const Fork& fork, Time t_lim,
                                                             std::size_t cap,
                                                             ForkCountScratch& scratch) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  const std::size_t selected = std::min(select_nodes(fork, t_lim, cap, scratch), cap);
-  trim_to_cap(fork, cap, scratch.counts);
-  Time makespan = 0;
-  sequence(fork, t_lim, scratch.counts, scratch,
-           [&](std::size_t slave, Time, Time start) {
-             makespan = std::max(makespan, start + fork.slave(slave).work);
-           });
-  return {selected, makespan};
+  return makespan_within(fork, t_lim, Workload::identical(cap), cap, scratch);
 }
 
 void ForkScheduler::schedule_within_into(const Fork& fork, Time t_lim, std::size_t cap,
                                          ForkCountScratch& scratch, ForkSchedule& out) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  select_nodes(fork, t_lim, cap, scratch);
-  trim_to_cap(fork, cap, scratch.counts);
-  realize_into(fork, t_lim, scratch.counts, scratch, out);
+  schedule_within_into(fork, t_lim, Workload::identical(cap), cap, scratch, out);
 }
 
 std::size_t ForkScheduler::count_within(const Fork& fork, Time t_lim, const Workload& workload,
                                         std::size_t cap, ForkCountScratch& scratch) {
   require_uniform_sizes(workload);
-  const std::size_t k_cap = std::min(cap, workload.count());
-  if (!workload.has_release_dates()) return count_within(fork, t_lim, k_cap, scratch);
   MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  scratch.jobs.clear();
-  append_fork_jobs(fork, t_lim, k_cap, scratch.jobs);
-  return moore_hodgson_released_count(scratch.jobs, workload.releases(), k_cap, scratch.dp);
+  const std::size_t k_cap = std::min(cap, workload.count());
+  // The cap trim only ever reduces the total to `cap`, so `min` reproduces
+  // the materialized count.
+  if (!workload.has_release_dates()) {
+    return std::min(select_nodes(fork, t_lim, k_cap, scratch), k_cap);
+  }
+  build_runs(fork, t_lim, k_cap, scratch);
+  return moore_hodgson_released_runs(scratch.runs, scratch.deadlines, workload.releases(), k_cap,
+                                     scratch.select);
+}
+
+std::pair<std::size_t, Time> ForkScheduler::makespan_within(const Fork& fork, Time t_lim,
+                                                            const Workload& workload,
+                                                            std::size_t cap,
+                                                            ForkCountScratch& scratch) {
+  Time makespan = 0;
+  const std::size_t tasks =
+      decide(fork, t_lim, workload, cap, scratch, [&](std::size_t slave, Time, Time start) {
+        makespan = std::max(makespan, start + fork.slave(slave).work);
+      });
+  return {tasks, makespan};
+}
+
+void ForkScheduler::schedule_within_into(const Fork& fork, Time t_lim, const Workload& workload,
+                                         std::size_t cap, ForkCountScratch& scratch,
+                                         ForkSchedule& out) {
+  out.fork = fork;
+  out.tasks.clear();
+  decide(fork, t_lim, workload, cap, scratch, [&](std::size_t slave, Time emission, Time start) {
+    out.tasks.push_back(ForkTask{slave, emission, start});
+  });
 }
 
 std::size_t ForkScheduler::schedule_into(const Fork& fork, std::size_t n,
@@ -225,6 +280,31 @@ std::size_t ForkScheduler::schedule_into(const Fork& fork, std::size_t n,
   MST_ASSERT(out.tasks.size() == n);
   return probes;
 }
+
+std::size_t ForkScheduler::schedule_into(const Fork& fork, const Workload& workload,
+                                         ForkCountScratch& scratch, ForkSchedule& out) {
+  require_uniform_sizes(workload);
+  MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
+  const std::size_t n = workload.count();
+  if (!workload.has_release_dates()) return schedule_into(fork, n, scratch, out);
+
+  // Minimal horizon: the single-best-slave pipeline shifted past the last
+  // release is always feasible, so the ceiling holds.  The floor adds the
+  // release term: the last emission cannot start before the last release,
+  // and that task alone still needs a one-task makespan.
+  const Time ceiling = released_ceiling(single_slave_horizon(fork, n), workload.last_release());
+  const Time lower = std::max(
+      fork_makespan_lower_bound(fork, n, scratch.bound),
+      workload.last_release() + fork_makespan_lower_bound(fork, 1, scratch.bound));
+  std::size_t probes = 0;
+  const Time horizon = min_feasible_horizon(lower, ceiling, [&](Time t) {
+    ++probes;
+    return count_within(fork, t, workload, n, scratch) >= n;
+  });
+  schedule_within_into(fork, horizon, workload, n, scratch, out);
+  MST_ASSERT(out.tasks.size() == n);
+  return probes;
+}
 // mstlint: zero-alloc-end
 
 ForkSchedule ForkScheduler::schedule_within(const Fork& fork, Time t_lim, std::size_t cap) {
@@ -241,68 +321,17 @@ std::size_t ForkScheduler::max_tasks(const Fork& fork, Time t_lim, std::size_t c
 
 ForkSchedule ForkScheduler::schedule_within(const Fork& fork, Time t_lim,
                                             const Workload& workload, std::size_t cap) {
-  require_uniform_sizes(workload);
-  if (!workload.has_release_dates()) {
-    return schedule_within(fork, t_lim, std::min(cap, workload.count()));
-  }
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  const std::size_t k_cap = std::min(cap, workload.count());
-  const std::vector<VirtualNode> nodes = expand_fork(fork, t_lim, k_cap);
-  std::vector<DeadlineJob> jobs;
-  jobs.reserve(nodes.size());
-  for (std::size_t idx = 0; idx < nodes.size(); ++idx) {
-    jobs.push_back({nodes[idx].comm, nodes[idx].deadline(t_lim), idx});
-  }
-  const std::vector<std::size_t> picked =
-      moore_hodgson_released(std::move(jobs), workload.releases(), k_cap);
-
-  // Replay the DP's own EDD sequence: position j's emission starts no
-  // earlier than the j-th smallest release date, and the DP proved every
-  // completion meets its chosen node's deadline.  (Re-sorting after a
-  // normalization swap is NOT safe under positional releases — a job moved
-  // to a later position also inherits a later release.)  Per slave, the
-  // chosen ranks arrive in descending order, so the c-th arriving task has
-  // at least as many virtual slots behind it as tasks actually follow —
-  // the standard Fig 6 induction still bounds every completion by `t_lim`.
-  const std::vector<Time>& releases = workload.releases();
-  ForkSchedule schedule{fork, {}};
-  std::vector<Time> slave_free(fork.size(), 0);
-  Time port = 0;
-  for (std::size_t position = 0; position < picked.size(); ++position) {
-    const VirtualNode& node = nodes[picked[position]];
-    const Processor& slave = fork.slave(node.source);
-    const Time emission = std::max(port, releases[position]);
-    port = emission + slave.comm;
-    MST_ASSERT(port <= node.deadline(t_lim));
-    const Time arrival = emission + slave.comm;
-    const Time start = std::max(arrival, slave_free[node.source]);
-    slave_free[node.source] = start + slave.work;
-    MST_ASSERT(slave_free[node.source] <= t_lim);
-    schedule.tasks.push_back(ForkTask{node.source, emission, start});
-  }
-  return schedule;
+  ForkCountScratch scratch;
+  ForkSchedule out;
+  schedule_within_into(fork, t_lim, workload, cap, scratch, out);
+  return out;
 }
 
 ForkSchedule ForkScheduler::schedule(const Fork& fork, const Workload& workload) {
-  require_uniform_sizes(workload);
-  MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
-  const std::size_t n = workload.count();
-  if (!workload.has_release_dates()) return schedule(fork, n);
-
-  // Minimal horizon: the single-best-slave pipeline shifted past the last
-  // release is always feasible, so the ceiling holds.  The floor adds the
-  // release term: the last emission cannot start before the last release,
-  // and that task alone still needs a one-task makespan.
-  const Time ceiling = single_slave_horizon(fork, n) + workload.last_release();
   ForkCountScratch scratch;
-  const Time lower = std::max(
-      fork_makespan_lower_bound(fork, n, scratch.bound),
-      workload.last_release() + fork_makespan_lower_bound(fork, 1, scratch.bound));
-  const Time horizon = min_feasible_horizon(
-      lower, ceiling, [&](Time t) { return count_within(fork, t, workload, n, scratch) >= n; });
-  ForkSchedule result = schedule_within(fork, horizon, workload, n);
-  MST_ASSERT(result.tasks.size() == n);
-  return result;
+  ForkSchedule out;
+  schedule_into(fork, workload, scratch, out);
+  return out;
 }
 
 ForkSchedule ForkScheduler::schedule(const Fork& fork, std::size_t n) {

@@ -21,7 +21,10 @@
 /// nodes form one run (one latency `c`, deadlines in arithmetic
 /// progression), so every identical-workload path selects with the
 /// run-merged kernel `moore_hodgson_runs` (`moore_hodgson.hpp`) — no
-/// `DeadlineJob` array, no sort.  The selection is normalized per slave to the
+/// `DeadlineJob` array, no sort; released workloads run the
+/// positional-release kernel on the same runs.  Every form is a thin policy
+/// over one of the two kernels, every value form its `_into` twin on a
+/// fresh scratch.  The selection is normalized per slave to the
 /// smallest-exec prefix (pure deadline relaxation, count preserved), which
 /// makes it realizable as an actual schedule.  The paper's original
 /// ascending-`c` greedy is kept as `greedy_max_tasks` for cross-checking
@@ -39,9 +42,8 @@ struct ForkCountScratch {
   RunSelectScratch select;           ///< the run kernel's merge/bucket state
   std::vector<std::size_t> counts;   ///< selected tasks per slave
   std::vector<std::size_t> kept;     ///< counts of the search's smallest feasible probe
-  std::size_t selections = 0;        ///< run-kernel passes made on this scratch
-  std::vector<DeadlineJob> jobs;     ///< the Fig 6 node instance (release dates)
-  std::vector<Time> dp;              ///< positional-release selection DP row
+  std::vector<std::size_t> picked;   ///< released selection: slave of each position
+  std::size_t selections = 0;        ///< selection-kernel passes made on this scratch
   std::vector<std::pair<Time, std::size_t>> seq;  ///< (deadline, slave) sequencing
   std::vector<Time> slave_free;      ///< per-slave completion during replay
   OnePortScratch bound;              ///< makespan lower bound seeding the search
@@ -76,17 +78,27 @@ class ForkScheduler {
 
   /// Workload decision form: release dates bind positionally on the
   /// master's one-port (see spider_scheduler.hpp — forks share the
-  /// positional-release selection DP).  Identical workloads reduce to the
+  /// positional-release selection).  Identical workloads reduce to the
   /// methods above capped at the workload count; non-uniform sizes are
-  /// rejected.
+  /// rejected.  The materializing forms replay the kernel's selection in
+  /// its EDD order, position j emitting no earlier than the j-th release.
   static std::size_t count_within(const Fork& fork, Time t_lim, const Workload& workload,
                                   std::size_t cap, ForkCountScratch& scratch);
+  static std::pair<std::size_t, Time> makespan_within(const Fork& fork, Time t_lim,
+                                                      const Workload& workload, std::size_t cap,
+                                                      ForkCountScratch& scratch);
+  static void schedule_within_into(const Fork& fork, Time t_lim, const Workload& workload,
+                                   std::size_t cap, ForkCountScratch& scratch,
+                                   ForkSchedule& out);
   static ForkSchedule schedule_within(const Fork& fork, Time t_lim, const Workload& workload,
                                       std::size_t cap);
 
   /// Workload makespan form: the minimal horizon of the release-aware count
   /// (absolute times; no shift), searched from the makespan lower bound
-  /// raised past the last release.
+  /// raised past the last release, up to `released_ceiling` (search.hpp).
+  /// Returns the number of count probes the search made.
+  static std::size_t schedule_into(const Fork& fork, const Workload& workload,
+                                   ForkCountScratch& scratch, ForkSchedule& out);
   static ForkSchedule schedule(const Fork& fork, const Workload& workload);
 
   /// Makespan form: optimal schedule of exactly `n` tasks at the minimal

@@ -54,32 +54,20 @@ std::vector<std::size_t> moore_hodgson(std::vector<DeadlineJob> jobs) {
   return ids;
 }
 
-// The count-only twins below mutate caller-owned scratch only — statically
-// allocation-checked (dynamic twin: tests/test_counting.cpp).
+// The run kernels mutate caller-owned scratch only — statically
+// allocation-checked (dynamic twins: tests/test_counting.cpp and
+// tests/test_zero_alloc.cpp).
 // mstlint: zero-alloc
-std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time>& heap_scratch) {
-  std::sort(jobs.begin(), jobs.end(), edd_less);
+namespace {
 
-  // Same eviction rule as `moore_hodgson`, but the heap only needs the
-  // processing times: the count is invariant under which of several
-  // longest-job ties gets evicted.
-  heap_scratch.clear();
-  Time total = 0;
-  for (const DeadlineJob& job : jobs) {
-    heap_scratch.push_back(job.proc_time);
-    std::push_heap(heap_scratch.begin(), heap_scratch.end());
-    total += job.proc_time;
-    if (total > job.deadline) {
-      std::pop_heap(heap_scratch.begin(), heap_scratch.end());
-      total -= heap_scratch.back();
-      heap_scratch.pop_back();
-    }
-  }
-  return heap_scratch.size();
-}
-
-std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
-                               RunSelectScratch& scratch, std::vector<std::size_t>& counts) {
+/// The merge both run kernels share: ranks the runs by (proc, run index)
+/// into `scratch.order`/`scratch.lanes` (each lane's `taken` zeroed) and
+/// calls `visit(deadline, rank, lanes)` once per job, in (deadline, rank) order,
+/// from a p-entry min-heap maintained by hand so that advancing a run is
+/// one sift of the top entry rather than a pop and a push.
+template <typename Visit>
+void merge_runs(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
+                RunSelectScratch& scratch, Visit&& visit) {
   using Entry = std::pair<Time, std::size_t>;  // (deadline, rank)
   const std::size_t p = runs.size();
   std::vector<std::size_t>& order = scratch.order;
@@ -99,8 +87,6 @@ std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vecto
     lanes[r] = {run.proc, run.begin, run.end, 0};
     if (run.begin < run.end) heap.emplace_back(deadlines[run.begin], r);
   }
-  // Min-heap on (deadline, rank), maintained by hand so that advancing a run
-  // is one sift of the top entry rather than a pop and a push.
   const auto later = [](const Entry& a, const Entry& b) { return b < a; };
   std::make_heap(heap.begin(), heap.end(), later);
   const auto sift_top = [&] {
@@ -115,10 +101,6 @@ std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vecto
     }
     heap[hole] = moving;
   };
-
-  Time total = 0;         // processing time of the selected jobs
-  std::size_t selected = 0;
-  std::size_t top = 0;    // highest rank with a selected job, once selected > 0
   while (!heap.empty()) {
     const auto [deadline, r] = heap[0];
     RunSelectScratch::Lane& lane = lanes[r];
@@ -129,7 +111,20 @@ std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vecto
       heap.pop_back();
     }
     if (!heap.empty()) sift_top();
+    visit(deadline, r, lanes);
+  }
+}
 
+}  // namespace
+
+std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
+                               RunSelectScratch& scratch, std::vector<std::size_t>& counts) {
+  Time total = 0;         // processing time of the selected jobs
+  std::size_t selected = 0;
+  std::size_t top = 0;    // highest rank with a selected job, once selected > 0
+  merge_runs(runs, deadlines, scratch,
+             [&](Time deadline, std::size_t r, RunSelectScratch::Lane* lanes) {
+    RunSelectScratch::Lane& lane = lanes[r];
     if (total + lane.proc <= deadline) {
       ++lane.taken;
       total += lane.proc;
@@ -142,36 +137,62 @@ std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vecto
       --lanes[top].taken;
       while (lanes[top].taken == 0) --top;
     }
-  }
+  });
 
+  const std::size_t p = runs.size();
   counts.assign(p, 0);
-  for (std::size_t r = 0; r < p; ++r) counts[order[r]] = lanes[r].taken;
+  for (std::size_t r = 0; r < p; ++r) counts[scratch.order[r]] = scratch.lanes[r].taken;
   return selected;
 }
 
-std::size_t moore_hodgson_released_count(std::vector<DeadlineJob>& jobs,
-                                         const std::vector<Time>& releases,
-                                         std::size_t max_count, std::vector<Time>& dp_scratch) {
-  std::sort(jobs.begin(), jobs.end(), edd_less);
+std::size_t moore_hodgson_released_runs(const std::vector<JobRun>& runs,
+                                        const std::vector<Time>& deadlines,
+                                        const std::vector<Time>& releases,
+                                        std::size_t max_count, RunSelectScratch& scratch,
+                                        std::vector<std::size_t>* picked) {
+  // `dp[0..best]` are the reachable counts of the processed prefix; a job
+  // extends count `j − 1` to `j` when it fits after both `dp[j − 1]` and
+  // `releases[j − 1]` and beats `dp[j]` (or `j` was unreachable).  Walking
+  // the jobs backwards, a flagged (job, count) cell is exactly one where
+  // the generic table differs from the row above, so the backtrack takes
+  // the jobs the generic one takes.
   const std::size_t limit = std::min(max_count, releases.size());
-
-  // dp[j]: minimal completion time of a feasible selection of j jobs from
-  // the processed prefix, sequenced in EDD order with position j-1 starting
-  // no earlier than releases[j-1].  In-place knapsack update (descending j).
-  dp_scratch.assign(limit + 1, kTimeInfinity);
-  dp_scratch[0] = 0;
+  std::vector<Time>& dp = scratch.dp;
+  dp.resize(limit + 1);
+  dp[0] = 0;
   std::size_t best = 0;
-  for (const DeadlineJob& job : jobs) {
-    const std::size_t top = std::min(best + 1, limit);
-    for (std::size_t j = top; j >= 1; --j) {
-      if (dp_scratch[j - 1] == kTimeInfinity) continue;
-      const Time start = std::max(dp_scratch[j - 1], releases[j - 1]);
-      const Time finish = start + job.proc_time;
-      if (finish <= job.deadline && finish < dp_scratch[j]) {
-        dp_scratch[j] = finish;
-        if (j > best) best = j;
-      }
+  if (picked != nullptr) {
+    scratch.merged.clear();
+    scratch.took.clear();
+  }
+  merge_runs(runs, deadlines, scratch,
+             [&](Time deadline, std::size_t r, const RunSelectScratch::Lane* lanes) {
+    const Time proc = lanes[r].proc;
+    std::uint8_t* row = nullptr;
+    if (picked != nullptr) {
+      scratch.merged.push_back(scratch.order[r]);
+      scratch.took.resize(scratch.took.size() + limit);
+      row = scratch.took.data() + scratch.took.size() - limit;
     }
+    for (std::size_t j = std::min(best + 1, limit); j >= 1; --j) {
+      const Time start = std::max(dp[j - 1], releases[j - 1]);
+      if (start > deadline - proc) continue;  // finishes after the deadline
+      const Time finish = start + proc;
+      if (j <= best && finish >= dp[j]) continue;
+      dp[j] = finish;
+      if (row != nullptr) row[j - 1] = 1;
+      if (j > best) best = j;
+    }
+  });
+  if (picked != nullptr) {
+    picked->resize(best);
+    std::size_t j = best;
+    for (std::size_t i = scratch.merged.size(); i >= 1 && j >= 1; --i) {
+      if (scratch.took[(i - 1) * limit + (j - 1)] == 0) continue;
+      (*picked)[j - 1] = scratch.merged[i - 1];
+      --j;
+    }
+    MST_ASSERT(j == 0);
   }
   return best;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -16,7 +17,10 @@
 /// fork and spider node sets have more structure — one run per slave or
 /// leg, each run sharing one processing time with deadlines already in
 /// order — and `moore_hodgson_runs` exploits it: the same selection in
-/// `O(N log p)` for p runs, with no sort and no eviction heap.
+/// `O(N log p)` for p runs, with no sort and no eviction heap.  Release
+/// dates turn the step into a DP on the same runs and merge,
+/// `moore_hodgson_released_runs`.  The generic `DeadlineJob` forms are the
+/// kernels' test oracles.
 ///
 /// The paper cites the ascending-`c` greedy of Beaumont et al. [2] for this
 /// step; we implement both (see `fork_scheduler.hpp` for the greedy) and use
@@ -39,14 +43,6 @@ struct DeadlineJob {
 /// selected.  Deterministic: ties are broken by (deadline, proc_time, id).
 std::vector<std::size_t> moore_hodgson(std::vector<DeadlineJob> jobs);
 
-/// Count-only Moore–Hodgson on an arbitrary job set: sorts `jobs` in place
-/// and keeps the selected processing times in `heap_scratch` (cleared,
-/// capacity reused), so a warmed-up caller triggers no allocation.  (The
-/// fork/spider paths use the run kernel below instead.)  Returns the same
-/// cardinality `moore_hodgson` selects — the optimum is unique even when the
-/// selection is not.
-std::size_t moore_hodgson_count(std::vector<DeadlineJob>& jobs, std::vector<Time>& heap_scratch);
-
 /// One run of the run-merged selection: the jobs whose deadlines are
 /// `deadlines[begin, end)` of a shared array, ascending, all taking `proc`
 /// on the machine.  The fork and spider selections are made of such runs —
@@ -58,8 +54,8 @@ struct JobRun {
   std::size_t end = 0;
 };
 
-/// Merge and bucket state of `moore_hodgson_runs`: O(p) for p runs, reused
-/// across passes.
+/// Merge and selection state of the run kernels, reused across passes: O(p)
+/// for p runs, plus the released DP row and select table.
 struct RunSelectScratch {
   /// One run as the kernel sees it, indexed by rank.
   struct Lane {
@@ -71,6 +67,9 @@ struct RunSelectScratch {
   std::vector<std::size_t> order;                  ///< rank → run index
   std::vector<Lane> lanes;                         ///< per rank
   std::vector<std::pair<Time, std::size_t>> heap;  ///< (deadline, rank) merge front
+  std::vector<Time> dp;              ///< released: min completion per selected count
+  std::vector<std::size_t> merged;   ///< released select: run of each job, merge order
+  std::vector<std::uint8_t> took;    ///< released select: (job, count) improvements
 };
 
 /// Moore–Hodgson over runs: the selection `moore_hodgson` makes on the
@@ -95,23 +94,36 @@ struct RunSelectScratch {
 std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
                                RunSelectScratch& scratch, std::vector<std::size_t>& counts);
 
-/// Positional-release selection — the release-date generalization behind
-/// the fork/spider workload algorithms.  Tasks are identical apart from
-/// their release dates, so the dates bind *positionally*: the j-th selected
-/// emission in time order (0-based) cannot start before `releases[j]`
-/// (`releases` sorted ascending).  At most `min(max_count, releases.size())`
-/// jobs can be selected.  Solved exactly by the O(N·K) selection DP over the
-/// EDD order (`dp[j]` = minimal completion time of a feasible j-job
-/// selection of the processed prefix); Moore–Hodgson's eviction rule does
-/// not extend to position-dependent machine availability, the DP does.
-/// Sorts `jobs` in place; `dp_scratch` is reused capacity (cleared).
-std::size_t moore_hodgson_released_count(std::vector<DeadlineJob>& jobs,
-                                         const std::vector<Time>& releases,
-                                         std::size_t max_count, std::vector<Time>& dp_scratch);
+/// Positional-release selection over runs — the release-date
+/// generalization behind the fork/spider workload algorithms.  Tasks are
+/// identical apart from their release dates, so the dates bind
+/// *positionally*: the j-th selected emission in time order (0-based)
+/// cannot start before `releases[j]` (`releases` sorted ascending), and at
+/// most `min(max_count, releases.size())` jobs are selected.  Solved
+/// exactly by the O(N·K) DP over the EDD order (`dp[j]` = minimal
+/// completion of a feasible j-job selection of the processed prefix);
+/// Moore–Hodgson's eviction rule does not extend to position-dependent
+/// machine availability.  The runs are merged as in `moore_hodgson_runs`,
+/// which visits the jobs in the generic EDD order (deadline, proc, id) on
+/// run-major ids (jobs of one run tying on the deadline are
+/// interchangeable), so the DP takes the generic decisions one by one.
+/// Reachability is the largest count reached so far, never a sentinel
+/// time: any int64 time is a valid completion.
+///
+/// Count policy (`picked` null): one DP row; returns the maximum
+/// selection's size.  Select policy: also flags every DP improvement in a
+/// flat (job, count) table in `scratch` and backtracks into `*picked`
+/// (reassigned) the run of each position — `moore_hodgson_released` with
+/// ids mapped to runs.  Allocation-free once `scratch` and `*picked` are
+/// warm.
+std::size_t moore_hodgson_released_runs(const std::vector<JobRun>& runs,
+                                        const std::vector<Time>& deadlines,
+                                        const std::vector<Time>& releases,
+                                        std::size_t max_count, RunSelectScratch& scratch,
+                                        std::vector<std::size_t>* picked = nullptr);
 
-/// Selecting variant: the `id`s of one maximum selection, in the EDD order
-/// they must be sequenced in (position j of the result gets release
-/// `releases[j]`).  Deterministic.
+/// Generic positional-release selection (test oracle): the `id`s of one
+/// maximum selection in sequencing order (position j gets `releases[j]`).
 std::vector<std::size_t> moore_hodgson_released(std::vector<DeadlineJob> jobs,
                                                 const std::vector<Time>& releases,
                                                 std::size_t max_count);

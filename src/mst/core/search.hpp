@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mst/common/assert.hpp"
 #include "mst/common/time.hpp"
 
 /// \file search.hpp
@@ -72,6 +73,18 @@ Time min_feasible_horizon(Time floor, Time ceiling, Feasible&& feasible) {
     }
   }
   return good;
+}
+
+/// Ceiling of a released makespan search: the identical ceiling `horizon`
+/// shifted past the last release (always feasible).  Overflow-checked, and
+/// a last release or ceiling at or above `kTimeInfinity` is refused by name.
+inline Time released_ceiling(Time horizon, Time last_release) {
+  Time ceiling = 0;
+  const bool overflow = __builtin_add_overflow(horizon, last_release, &ceiling);
+  MST_REQUIRE(last_release < kTimeInfinity && !overflow && ceiling < kTimeInfinity,
+              "released ceiling: the last release and the horizon plus it must stay below "
+              "kTimeInfinity");
+  return ceiling;
 }
 
 }  // namespace mst

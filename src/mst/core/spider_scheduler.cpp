@@ -45,9 +45,9 @@ void build_legs(const Spider& spider, Time t_lim, std::size_t cap, SpiderSolveSc
   }
 }
 
-/// Step (3) over built legs: a leg's run is its tasks' node deadlines
+/// Step (2) over built legs: a leg's run is its tasks' node deadlines
 /// `C¹ + c_1` (`expand_leg`), ascending with the tasks' first emissions.
-std::size_t select_legs(const Spider& spider, SpiderSolveScratch& scratch) {
+void leg_runs(const Spider& spider, SpiderSolveScratch& scratch) {
   SpiderCountScratch& count = scratch.count;
   count.deadlines.clear();
   count.runs.clear();
@@ -59,7 +59,19 @@ std::size_t select_legs(const Spider& spider, SpiderSolveScratch& scratch) {
     }
     count.runs.push_back(JobRun{c1, begin, count.deadlines.size()});
   }
-  return select_runs(count);
+}
+
+/// Writes task `used` of `out` into a recycled slot: `src`, a task of leg
+/// `leg`'s schedule, with its master emission moved to `emission`.
+void put_task(SpiderSchedule& out, std::size_t used, std::size_t leg, const ChainTask& src,
+              Time emission) {
+  if (used == out.tasks.size()) out.tasks.emplace_back();
+  SpiderTask& task = out.tasks[used];
+  task.leg = leg;
+  task.proc = src.proc;
+  task.start = src.start;
+  task.emissions.assign(src.emissions.begin(), src.emissions.end());
+  task.emissions.front() = emission;
 }
 
 /// Steps (3b)–(4) from the per-leg counts in `scratch.count.counts`: the
@@ -110,55 +122,58 @@ void realize_into(const Spider& spider, Time t_lim, std::size_t cap, SpiderSolve
   std::size_t used = 0;
   Time port = 0;
   for (const auto& [deadline, leg, task_index] : scratch.chosen) {
-    const ChainTask& src = scratch.legs[leg].tasks[task_index];
     const Time emission = port;
     port += spider.leg(leg).comm(0);
     // Lemma 3: the fork step never needs to emit later than the leg
     // schedule did, so moving the first emission earlier is always legal.
     MST_ASSERT(port <= deadline);
-    if (used == out.tasks.size()) out.tasks.emplace_back();
-    SpiderTask& task = out.tasks[used];
-    task.leg = leg;
-    task.proc = src.proc;
-    task.start = src.start;
-    task.emissions.assign(src.emissions.begin(), src.emissions.end());
-    task.emissions.front() = emission;
-    ++used;
+    put_task(out, used++, leg, scratch.legs[leg].tasks[task_index], emission);
   }
   out.tasks.resize(used);
+}
+
+/// Step (4) with release gating, from the released selection in
+/// `scratch.picked`: replays the kernel's own EDD sequence — position j
+/// starts no earlier than the port and the j-th smallest release date, and
+/// the DP already proved every completion meets its node's deadline.  Each
+/// leg's positions are mapped, in order, onto the *suffix* tasks of its
+/// schedule (only suffixes are realizable, Lemma 4): within a leg the EDD
+/// order is ascending deadline, and the suffix deadlines dominate any
+/// chosen subset's pointwise, so the mapped tasks only ever gain slack.
+/// (A global re-sort after the swap would NOT be safe: moving a job to a
+/// later EDD position also moves it to a later positional release, which
+/// can exceed the relaxed deadline.  Keeping the DP's sequence sidesteps
+/// that entirely.)  `out.tasks` is rebuilt in recycled slots.
+void replay_released_into(const Spider& spider, const Workload& workload,
+                          SpiderSolveScratch& scratch, SpiderSchedule& out) {
+  std::vector<std::size_t>& remaining = scratch.count.counts;  // per leg, unmapped positions
+  remaining.assign(spider.num_legs(), 0);
+  for (const std::size_t leg : scratch.picked) ++remaining[leg];
+  const std::vector<Time>& releases = workload.releases();
+  out.spider = spider;
+  Time port = 0;
+  for (std::size_t position = 0; position < scratch.picked.size(); ++position) {
+    const std::size_t leg = scratch.picked[position];
+    const ChainSchedule& ls = scratch.legs[leg];
+    const ChainTask& src = ls.tasks[ls.tasks.size() - remaining[leg]--];
+    const Time emission = std::max(port, releases[position]);
+    port = emission + spider.leg(leg).comm(0);
+    MST_ASSERT(emission <= src.emissions.front());
+    put_task(out, position, leg, src, emission);
+  }
+  out.tasks.resize(scratch.picked.size());
 }
 
 }  // namespace
 
 std::size_t SpiderScheduler::count_within(const Spider& spider, Time t_lim, std::size_t cap,
                                           SpiderCountScratch& scratch) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  // Steps (1)–(3) of `schedule_within` without materialization: each leg's
-  // backward construction is replayed count-only; its first-link emissions,
-  // latest first, reversed and shifted by `c_1`, are the leg's run of node
-  // deadlines (`expand_leg`).  The global cap trim only ever reduces the
-  // selected total to `cap`, so `min` reproduces it.
-  scratch.deadlines.clear();
-  scratch.runs.clear();
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    const Chain& leg = spider.leg(l);
-    const std::size_t begin = scratch.deadlines.size();
-    ChainScheduler::count_within_emissions(leg, t_lim, cap, scratch.chain, scratch.deadlines);
-    std::reverse(scratch.deadlines.begin() + static_cast<std::ptrdiff_t>(begin),
-                 scratch.deadlines.end());
-    const Time c1 = leg.comm(0);
-    for (std::size_t j = begin; j < scratch.deadlines.size(); ++j) scratch.deadlines[j] += c1;
-    scratch.runs.push_back(JobRun{c1, begin, scratch.deadlines.size()});
-  }
-  return std::min(select_runs(scratch), cap);
+  return count_within(spider, t_lim, Workload::identical(cap), cap, scratch);
 }
 
 void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim, std::size_t cap,
                                            SpiderSolveScratch& scratch, SpiderSchedule& out) {
-  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  build_legs(spider, t_lim, cap, scratch);
-  select_legs(spider, scratch);
-  realize_into(spider, t_lim, cap, scratch, out);
+  schedule_within_into(spider, t_lim, Workload::identical(cap), cap, scratch, out);
 }
 
 namespace {
@@ -182,22 +197,79 @@ std::size_t SpiderScheduler::count_within(const Spider& spider, Time t_lim,
                                           const Workload& workload, std::size_t cap,
                                           SpiderCountScratch& scratch) {
   require_uniform_sizes(workload);
-  const std::size_t k_cap = std::min(cap, workload.count());
-  if (!workload.has_release_dates()) return count_within(spider, t_lim, k_cap, scratch);
   MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
-  // Steps (1)–(2) as in the identical count; step (3) swaps the plain
-  // Moore–Hodgson count for the positional-release selection DP.
-  scratch.jobs.clear();
+  // Steps (1)–(3) of `schedule_within` without materialization: each leg's
+  // backward construction is replayed count-only; its first-link emissions,
+  // latest first, reversed and shifted by `c_1`, are the leg's run of node
+  // deadlines (`expand_leg`), leg-major as in the generic `transform` order.
+  const std::size_t k_cap = std::min(cap, workload.count());
+  scratch.deadlines.clear();
+  scratch.runs.clear();
   for (std::size_t l = 0; l < spider.num_legs(); ++l) {
     const Chain& leg = spider.leg(l);
-    scratch.deadlines.clear();  // this leg's first-link emissions
+    const std::size_t begin = scratch.deadlines.size();
     ChainScheduler::count_within_emissions(leg, t_lim, k_cap, scratch.chain, scratch.deadlines);
+    std::reverse(scratch.deadlines.begin() + static_cast<std::ptrdiff_t>(begin),
+                 scratch.deadlines.end());
     const Time c1 = leg.comm(0);
-    for (const Time emission : scratch.deadlines) {
-      scratch.jobs.push_back(DeadlineJob{c1, emission + c1, scratch.jobs.size()});
-    }
+    for (std::size_t j = begin; j < scratch.deadlines.size(); ++j) scratch.deadlines[j] += c1;
+    scratch.runs.push_back(JobRun{c1, begin, scratch.deadlines.size()});
   }
-  return moore_hodgson_released_count(scratch.jobs, workload.releases(), k_cap, scratch.dp);
+  // Step (3): the global cap trim only ever reduces the selected total to
+  // `cap`, so `min` reproduces it; release dates swap in the released
+  // kernel's count policy.
+  if (!workload.has_release_dates()) return std::min(select_runs(scratch), k_cap);
+  ++scratch.selections;
+  return moore_hodgson_released_runs(scratch.runs, scratch.deadlines, workload.releases(), k_cap,
+                                     scratch.select);
+}
+
+void SpiderScheduler::schedule_within_into(const Spider& spider, Time t_lim,
+                                           const Workload& workload, std::size_t cap,
+                                           SpiderSolveScratch& scratch, SpiderSchedule& out) {
+  require_uniform_sizes(workload);
+  MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
+  const std::size_t k_cap = std::min(cap, workload.count());
+  build_legs(spider, t_lim, k_cap, scratch);
+  leg_runs(spider, scratch);
+  SpiderCountScratch& count = scratch.count;
+  if (!workload.has_release_dates()) {
+    select_runs(count);
+    realize_into(spider, t_lim, k_cap, scratch, out);
+    return;
+  }
+  ++count.selections;
+  moore_hodgson_released_runs(count.runs, count.deadlines, workload.releases(), k_cap,
+                              count.select, &scratch.picked);
+  replay_released_into(spider, workload, scratch, out);
+}
+
+std::size_t SpiderScheduler::schedule_into(const Spider& spider, const Workload& workload,
+                                           SpiderSolveScratch& scratch, SpiderSchedule& out) {
+  require_uniform_sizes(workload);
+  MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
+  const std::size_t n = workload.count();
+  if (!workload.has_release_dates()) return schedule_into(spider, n, scratch, out);
+
+  // Minimal horizon admitting every task: the single-best-leg schedule
+  // shifted past the last release always fits, so the ceiling is feasible.
+  // The floor adds the release term: the last emission cannot start before
+  // the last release, and that task alone still needs a one-task makespan.
+  // Absolute times throughout: release dates pin the origin, so the
+  // identical-path normalization shift does not apply.
+  SpiderCountScratch& count = scratch.count;
+  const Time ceiling = released_ceiling(single_leg_horizon(spider, n), workload.last_release());
+  const Time lower = std::max(
+      spider_makespan_lower_bound(spider, n, count.bound),
+      workload.last_release() + spider_makespan_lower_bound(spider, 1, count.bound));
+  std::size_t probes = 0;
+  const Time horizon = min_feasible_horizon(lower, ceiling, [&](Time t) {
+    ++probes;
+    return count_within(spider, t, workload, n, count) >= n;
+  });
+  schedule_within_into(spider, horizon, workload, n, scratch, out);
+  MST_ASSERT(out.tasks.size() == n);
+  return probes;
 }
 
 std::size_t SpiderScheduler::schedule_into(const Spider& spider, std::size_t n,
@@ -227,7 +299,8 @@ std::size_t SpiderScheduler::schedule_into(const Spider& spider, std::size_t n,
   if (kept == horizon) {
     std::swap(count.counts, count.kept);
   } else {
-    select_legs(spider, scratch);
+    leg_runs(spider, scratch);
+    select_runs(count);
   }
   realize_into(spider, horizon, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
@@ -251,90 +324,17 @@ std::size_t SpiderScheduler::max_tasks(const Spider& spider, Time t_lim, std::si
 
 SpiderSchedule SpiderScheduler::schedule_within(const Spider& spider, Time t_lim,
                                                 const Workload& workload, std::size_t cap) {
-  require_uniform_sizes(workload);
-  if (!workload.has_release_dates()) {
-    return schedule_within(spider, t_lim, std::min(cap, workload.count()));
-  }
-  const std::size_t k_cap = std::min(cap, workload.count());
-  const SpiderTransformation tf = transform(spider, t_lim, k_cap);
-
-  // Step (3), release-aware: positional-release selection on the one-port.
-  std::vector<DeadlineJob> jobs;
-  jobs.reserve(tf.nodes.size());
-  for (std::size_t idx = 0; idx < tf.nodes.size(); ++idx) {
-    jobs.push_back({tf.nodes[idx].comm, tf.nodes[idx].deadline(t_lim), idx});
-  }
-  const std::vector<std::size_t> picked =
-      moore_hodgson_released(std::move(jobs), workload.releases(), k_cap);
-
-  // Step (4) with release gating: replay the DP's own EDD sequence —
-  // position j starts no earlier than the j-th smallest release date, and
-  // the DP already proved every completion meets its node's deadline.  Each
-  // leg's positions are mapped, in order, onto the *suffix* tasks of its
-  // schedule (only suffixes are realizable, Lemma 4): within a leg the EDD
-  // order is ascending deadline, and the suffix deadlines dominate any
-  // chosen subset's pointwise, so the mapped tasks only ever gain slack.
-  // (A global re-sort after the swap would NOT be safe: moving a job to a
-  // later EDD position also moves it to a later positional release, which
-  // can exceed the relaxed deadline.  Keeping the DP's sequence sidesteps
-  // that entirely.)
-  std::vector<std::size_t> counts(spider.num_legs(), 0);
-  for (std::size_t idx : picked) ++counts[tf.nodes[idx].source];
-
-  const std::vector<Time>& releases = workload.releases();
-  SpiderSchedule schedule{spider, {}};
-  schedule.tasks.reserve(picked.size());
-  std::vector<std::size_t> next_of_leg(spider.num_legs(), 0);  // per-leg position counter
-  Time port = 0;
-  for (std::size_t position = 0; position < picked.size(); ++position) {
-    const VirtualNode& node = tf.nodes[picked[position]];
-    const std::size_t leg = node.source;
-    const ChainSchedule& ls = tf.leg_schedules[leg];
-    const std::size_t task_index = ls.tasks.size() - counts[leg] + next_of_leg[leg];
-    ++next_of_leg[leg];
-    const ChainTask& src = ls.tasks[task_index];
-    const Time c1 = spider.leg(leg).comm(0);
-
-    const Time emission = std::max(port, releases[position]);
-    port = emission + c1;
-    // DP feasibility at the chosen node's deadline; the mapped suffix
-    // task's own deadline is no earlier, so the leg timing keeps its slack.
-    MST_ASSERT(port <= node.deadline(t_lim));
-    MST_ASSERT(emission <= src.emissions.front());
-
-    SpiderTask task;
-    task.leg = leg;
-    task.proc = src.proc;
-    task.start = src.start;
-    task.emissions = src.emissions;
-    task.emissions.front() = emission;
-    schedule.tasks.push_back(std::move(task));
-  }
-  return schedule;
+  SpiderSolveScratch scratch;
+  SpiderSchedule out;
+  schedule_within_into(spider, t_lim, workload, cap, scratch, out);
+  return out;
 }
 
 SpiderSchedule SpiderScheduler::schedule(const Spider& spider, const Workload& workload) {
-  require_uniform_sizes(workload);
-  MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
-  const std::size_t n = workload.count();
-  if (!workload.has_release_dates()) return schedule(spider, n);
-
-  // Minimal horizon admitting every task: the single-best-leg schedule
-  // shifted past the last release always fits, so the ceiling is feasible.
-  // The floor adds the release term: the last emission cannot start before
-  // the last release, and that task alone still needs a one-task makespan.
-  const Time ceiling = single_leg_horizon(spider, n) + workload.last_release();
-  SpiderCountScratch scratch;
-  const Time lower = std::max(
-      spider_makespan_lower_bound(spider, n, scratch.bound),
-      workload.last_release() + spider_makespan_lower_bound(spider, 1, scratch.bound));
-  const Time horizon = min_feasible_horizon(
-      lower, ceiling, [&](Time t) { return count_within(spider, t, workload, n, scratch) >= n; });
-  SpiderSchedule result = schedule_within(spider, horizon, workload, n);
-  MST_ASSERT(result.tasks.size() == n);
-  // Absolute times throughout: release dates pin the origin, so the
-  // identical-path normalization shift does not apply.
-  return result;
+  SpiderSolveScratch scratch;
+  SpiderSchedule out;
+  schedule_into(spider, workload, scratch, out);
+  return out;
 }
 
 SpiderSchedule SpiderScheduler::schedule(const Spider& spider, std::size_t n) {

@@ -34,8 +34,11 @@
 /// (`min_feasible_horizon`, search.hpp): a tight bound costs two count
 /// probes, and the horizon never depends on the bound.  The per-leg counts
 /// of the smallest feasible probe are kept, so materializing at the horizon
-/// builds the legs and reverts without a second selection pass.  Total complexity
-/// stays polynomial (Theorem 2) and the result is optimal (Theorem 3).
+/// builds the legs and reverts without a second selection pass.  Release
+/// dates swap step (3) for the positional-release kernel on the same runs;
+/// every value form is its `_into` twin on a fresh scratch.  Total
+/// complexity stays polynomial (Theorem 2) and the result is optimal
+/// (Theorem 3).
 
 namespace mst {
 
@@ -61,9 +64,7 @@ struct SpiderCountScratch {
   RunSelectScratch select;           ///< the run kernel's merge/bucket state
   std::vector<std::size_t> counts;   ///< selected tasks per leg
   std::vector<std::size_t> kept;     ///< counts of the search's smallest feasible probe
-  std::size_t selections = 0;        ///< run-kernel passes made on this scratch
-  std::vector<DeadlineJob> jobs;     ///< the fork-graph instance (release dates)
-  std::vector<Time> dp;              ///< positional-release selection DP row
+  std::size_t selections = 0;        ///< selection-kernel passes made on this scratch
   OnePortScratch bound;              ///< makespan lower bound seeding the search
 };
 
@@ -75,6 +76,7 @@ struct SpiderSolveScratch {
   std::vector<ChainSchedule> legs;   ///< pooled leg decision schedules
   /// Step (4) sequencing: (deadline, leg, task_index).
   std::vector<std::tuple<Time, std::size_t, std::size_t>> chosen;
+  std::vector<std::size_t> picked;   ///< released selection: leg of each position
 };
 
 class SpiderScheduler {
@@ -109,23 +111,29 @@ class SpiderScheduler {
   /// Workload decision form.  Identical workloads reduce to the methods
   /// above (capped at the workload count).  Release dates bind positionally
   /// on the master's one-port (the j-th emission in time order starts at or
-  /// after the j-th smallest release), so step (3) becomes a
-  /// positional-release selection (`moore_hodgson_released*`): Moore–Hodgson
-  /// alone cannot model a machine whose availability depends on how many
-  /// jobs were already selected, the DP can.  Steps (1), (2) and (4) are
+  /// after the j-th smallest release), so step (3) becomes the
+  /// positional-release kernel on the same leg runs: Moore–Hodgson alone
+  /// cannot model a machine whose availability depends on how many jobs
+  /// were already selected, the DP can.  Steps (1), (2) and (4) are
   /// unchanged — the node deadlines still guarantee every selected emission
-  /// completes no later than the leg schedule planned (Lemma 3), so the
-  /// release-delayed re-sequencing stays legal.  Non-uniform sizes are
-  /// rejected.
+  /// completes no later than the leg schedule planned (Lemma 3), so
+  /// replaying the kernel's EDD sequence with release delays stays legal.
+  /// Non-uniform sizes are rejected.
   static std::size_t count_within(const Spider& spider, Time t_lim, const Workload& workload,
                                   std::size_t cap, SpiderCountScratch& scratch);
+  static void schedule_within_into(const Spider& spider, Time t_lim, const Workload& workload,
+                                   std::size_t cap, SpiderSolveScratch& scratch,
+                                   SpiderSchedule& out);
   static SpiderSchedule schedule_within(const Spider& spider, Time t_lim,
                                         const Workload& workload, std::size_t cap);
 
   /// Workload makespan form: the minimal horizon of the release-aware count,
-  /// searched from the makespan lower bound raised past the last release;
-  /// the result keeps absolute times (no normalization — release dates pin
-  /// the origin).
+  /// searched from the makespan lower bound raised past the last release,
+  /// up to `released_ceiling` (search.hpp); the result keeps absolute times
+  /// (release dates pin the origin).  Returns the number of count probes
+  /// the search made.
+  static std::size_t schedule_into(const Spider& spider, const Workload& workload,
+                                   SpiderSolveScratch& scratch, SpiderSchedule& out);
   static SpiderSchedule schedule(const Spider& spider, const Workload& workload);
 
   // -------------------------------------------------------------------------

@@ -15,10 +15,13 @@
 /// dispatched through `api::Registry`.
 ///
 /// Determinism: cells are self-contained and carry their own solve seed
-/// (and, on the workload axis, their own pre-generated workload), a worker
-/// claims cells by atomic index, and results land in a vector slot keyed by
-/// `Cell::index` — so the output is identical at any thread count
-/// (`--threads` changes wall time, never results).  The default is the
+/// (and, on the workload axis, their own pre-generated workload), cells are
+/// grouped into same-platform batches (first-occurrence order), a worker
+/// claims whole batches by atomic index and threads one warm
+/// `api::SolveScratch` through each, and results land in a vector slot
+/// keyed by `Cell::index` — so the output is identical at any thread count
+/// (`--threads` changes wall time, never results; the scratch paths are
+/// pinned equal to the plain ones).  The default is the
 /// `materialize = false` fast path: no schedule payloads cross the registry
 /// boundary, and decision-form (`deadlines`) cells on chain/spider
 /// `optimal` run the genuinely allocation-free counting constructions on
@@ -40,16 +43,6 @@ struct RunOptions {
   bool check = false;
   /// Timing repetitions per cell; `wall_ms` keeps the best (smallest) run.
   int reps = 1;
-  /// Batched execution (default): cells are grouped into same-platform
-  /// batches (first-occurrence order), workers steal whole batches, and
-  /// each worker threads one warm `api::SolveScratch` through its batch —
-  /// repeated solves reuse buffers instead of reallocating per cell.
-  /// Results are bit-identical either way (results land in index-keyed
-  /// slots; the scratch paths are pinned equal to the plain ones), so this
-  /// only moves wall time.  `false` reproduces the historical per-cell
-  /// stealing with no scratch — kept for benchmarking the difference
-  /// (bench/bench_sweep.cpp).
-  bool batch = true;
   /// Decision-form search cap (`SolveOptions::cap`).
   std::size_t cap = 1u << 20;
   /// Deterministic grid partition for distributed sweeps: this run executes

@@ -122,19 +122,5 @@ TEST(ForkCounting, ZeroAllocationsAfterWarmup) {
   EXPECT_EQ(allocations, 0);
 }
 
-TEST(Counting, MooreHodgsonCountMatchesSelection) {
-  Rng rng(31);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<DeadlineJob> jobs;
-    const auto count = static_cast<std::size_t>(rng.uniform(0, 12));
-    for (std::size_t i = 0; i < count; ++i) {
-      jobs.push_back({rng.uniform(1, 9), rng.uniform(0, 40), i});
-    }
-    std::vector<DeadlineJob> scratch_jobs = jobs;
-    std::vector<Time> heap;
-    EXPECT_EQ(moore_hodgson_count(scratch_jobs, heap), moore_hodgson(jobs).size());
-  }
-}
-
 }  // namespace
 }  // namespace mst

@@ -1,8 +1,9 @@
 // Tests of the one-machine deadline selector (Moore–Hodgson) underlying the
 // fork algorithm, including optimality against subset enumeration, and of
-// its run-merged kernel against the generic selection — on random run sets
-// and on the fork/spider node sets, rebuilt here the way the schedulers
-// used to build them.
+// its run-merged kernels — plain and positional-release — against the
+// generic selections: on random run sets, and on the fork/spider node sets
+// and released schedules, rebuilt here the way the schedulers used to
+// build them.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "mst/core/spider_scheduler.hpp"
 #include "mst/core/virtual_nodes.hpp"
 #include "mst/platform/generator.hpp"
+#include "mst/workload/workload.hpp"
 
 namespace mst {
 namespace {
@@ -246,6 +248,134 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MooreHodgsonRunsProperty,
                          ::testing::Values(11u, 22u, 33u, 44u, 55u));
 
 // ---------------------------------------------------------------------------
+// The positional-release run kernel
+
+/// The released oracle: generic `moore_hodgson_released` on the
+/// concatenated runs with run-major ids, each picked id mapped to its run.
+std::vector<std::size_t> released_oracle(const RunSet& set, const std::vector<Time>& releases,
+                                         std::size_t max_count) {
+  std::vector<DeadlineJob> jobs;
+  std::vector<std::size_t> run_of;
+  for (std::size_t i = 0; i < set.runs.size(); ++i) {
+    for (std::size_t j = set.runs[i].begin; j < set.runs[i].end; ++j) {
+      jobs.push_back({set.runs[i].proc, set.deadlines[j], jobs.size()});
+      run_of.push_back(i);
+    }
+  }
+  std::vector<std::size_t> runs;
+  for (const std::size_t id : moore_hodgson_released(std::move(jobs), releases, max_count)) {
+    runs.push_back(run_of[id]);
+  }
+  return runs;
+}
+
+/// Checks both policies against the oracle — the count, and the run of
+/// every position — twice on one scratch, which must not leak state.
+void expect_released_matches_oracle(const RunSet& set, const std::vector<Time>& releases,
+                                    std::size_t max_count, RunSelectScratch& scratch,
+                                    const char* what) {
+  const std::vector<std::size_t> want = released_oracle(set, releases, max_count);
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_EQ(moore_hodgson_released_runs(set.runs, set.deadlines, releases, max_count, scratch),
+              want.size())
+        << what;
+    std::vector<std::size_t> picked{99};
+    EXPECT_EQ(moore_hodgson_released_runs(set.runs, set.deadlines, releases, max_count, scratch,
+                                          &picked),
+              want.size())
+        << what;
+    EXPECT_EQ(picked, want) << what;
+  }
+}
+
+TEST(MooreHodgsonReleasedRuns, NoRunsEmptyRunsAndZeroLimit) {
+  RunSelectScratch scratch;
+  std::vector<std::size_t> picked{7};
+  EXPECT_EQ(moore_hodgson_released_runs({}, {}, {0, 1}, 5, scratch, &picked), 0u);
+  EXPECT_TRUE(picked.empty());
+
+  RunSet set;
+  set.add(3, {});
+  set.add(1, {4, 9});
+  set.add(0, {});
+  expect_released_matches_oracle(set, {0, 1}, 5, scratch, "empty runs");
+  // limit = min(max_count, releases) = 0 selects nothing, either way.
+  EXPECT_EQ(moore_hodgson_released_runs(set.runs, set.deadlines, {0, 1}, 0, scratch, &picked), 0u);
+  EXPECT_TRUE(picked.empty());
+  EXPECT_EQ(moore_hodgson_released_runs(set.runs, set.deadlines, {}, 5, scratch), 0u);
+}
+
+TEST(MooreHodgsonReleasedRuns, ReleasesDelayLaterPositions) {
+  // One run (p = 1), proc 2, deadlines 3, 5, 20.  Without a late release
+  // all three fit back to back; a release of 4 at position 1 pushes its
+  // completion to 6, so only two jobs fit (deadlines 5 and 20, or 3 and 20).
+  RunSelectScratch scratch;
+  RunSet set;
+  set.add(2, {3, 5, 20});
+  std::vector<std::size_t> picked;
+  EXPECT_EQ(moore_hodgson_released_runs(set.runs, set.deadlines, {0, 0, 10}, 3, scratch, &picked),
+            3u);
+  EXPECT_EQ(picked, (std::vector<std::size_t>{0, 0, 0}));
+  EXPECT_EQ(moore_hodgson_released_runs(set.runs, set.deadlines, {0, 4, 10}, 3, scratch), 2u);
+  expect_released_matches_oracle(set, {0, 4, 10}, 3, scratch, "p = 1");
+  // limit 1: the first position only.
+  expect_released_matches_oracle(set, {0, 4, 10}, 1, scratch, "limit 1");
+  EXPECT_EQ(moore_hodgson_released_runs(set.runs, set.deadlines, {0, 4, 10}, 1, scratch), 1u);
+}
+
+TEST(MooreHodgsonReleasedRuns, ZeroProcTiesAndDeadlinesBelowProc) {
+  RunSelectScratch scratch;
+  RunSet set;
+  set.add(0, {0, 0, 1});  // equal deadlines within a run, proc = 0
+  set.add(2, {1, 4, 4});  // a deadline below proc; ties across runs at 4
+  set.add(2, {4, 6});
+  set.add(0, {-1, 4});    // a negative deadline is missed even at zero length
+  for (const std::size_t limit : {0u, 1u, 2u, 5u, 20u}) {
+    expect_released_matches_oracle(set, {0, 0, 1, 1, 3, 3, 5, 9}, limit, scratch, "ties");
+  }
+}
+
+TEST(MooreHodgsonReleasedRuns, EdgeOfTheTimeDomain) {
+  // Completions at and past kTimeInfinity are ordinary times: a release one
+  // below it still admits a second job whose deadline lies beyond it.
+  RunSelectScratch scratch;
+  RunSet set;
+  set.add(3, {3'000'000'000'000'000'000 - 5, 3'000'000'000'000'000'000});
+  EXPECT_EQ(moore_hodgson_released_runs(set.runs, set.deadlines, {0, kTimeInfinity - 1}, 2,
+                                        scratch),
+            2u);
+}
+
+class MooreHodgsonReleasedRunsProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MooreHodgsonReleasedRunsProperty, MatchesGenericReleasedSelection) {
+  // Small value ranges force deadline and proc ties within and across
+  // runs, proc = 0 and deadlines below proc; runs may be empty; limits
+  // run from 0 past the job count.
+  Rng rng(GetParam());
+  RunSelectScratch scratch;  // shared across sets of every size
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto p = static_cast<std::size_t>(rng.uniform(1, 6));
+    const Time max_proc = rng.uniform(0, 5);
+    const Time max_deadline = rng.uniform(0, 40);
+    RunSet set;
+    for (std::size_t i = 0; i < p; ++i) {
+      std::vector<Time> deadlines(static_cast<std::size_t>(rng.uniform(0, 7)));
+      for (Time& d : deadlines) d = rng.uniform(-2, max_deadline);
+      set.add(rng.uniform(0, max_proc), std::move(deadlines));
+    }
+    std::vector<Time> releases(static_cast<std::size_t>(rng.uniform(0, 12)));
+    for (Time& r : releases) r = rng.uniform(0, max_deadline / 2);
+    std::sort(releases.begin(), releases.end());
+    const auto max_count = static_cast<std::size_t>(rng.uniform(0, 14));
+    expect_released_matches_oracle(set, releases, max_count, scratch, "random run set");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MooreHodgsonReleasedRunsProperty,
+                         ::testing::Values(61u, 62u, 63u, 64u, 65u));
+
+// ---------------------------------------------------------------------------
 // The fork/spider selections against the generic pipeline
 
 /// Selected nodes per source of the generic pipeline: node ids in
@@ -315,6 +445,143 @@ TEST(RunKernelCrossCheck, SpiderCountsMatchGenericPipeline) {
         EXPECT_EQ(SpiderScheduler::count_within(spider, t, cap, scratch), std::min(total, cap));
         EXPECT_EQ(scratch.counts, want) << spider.describe() << " T=" << t << " cap=" << cap;
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The released fork/spider schedules against the generic pipeline
+
+/// A released workload of 1..12 unit tasks with at least one positive
+/// release date (an all-zero one would normalize to the identical path).
+Workload released_workload(Rng& rng) {
+  std::vector<Time> releases(static_cast<std::size_t>(rng.uniform(1, 12)));
+  for (Time& r : releases) r = rng.uniform(0, 30);
+  releases.front() = std::max<Time>(releases.front(), 1);
+  return Workload::released(std::move(releases));
+}
+
+/// The generic released selection over the expansion-ordered `nodes`: the
+/// node picked at each position.
+std::vector<std::size_t> generic_released(const std::vector<VirtualNode>& nodes, Time t_lim,
+                                          const Workload& workload, std::size_t cap) {
+  std::vector<DeadlineJob> jobs;
+  for (std::size_t idx = 0; idx < nodes.size(); ++idx) {
+    jobs.push_back({nodes[idx].comm, nodes[idx].deadline(t_lim), idx});
+  }
+  return moore_hodgson_released(std::move(jobs), workload.releases(),
+                                std::min(cap, workload.count()));
+}
+
+/// The generic released fork schedule: `expand_fork` nodes, the generic
+/// selection, and its replay in the selection's own order.
+ForkSchedule generic_fork_schedule(const Fork& fork, Time t_lim, const Workload& workload,
+                                   std::size_t cap) {
+  const std::vector<VirtualNode> nodes =
+      expand_fork(fork, t_lim, std::min(cap, workload.count()));
+  ForkSchedule schedule{fork, {}};
+  std::vector<Time> slave_free(fork.size(), 0);
+  Time port = 0;
+  const std::vector<std::size_t> picked = generic_released(nodes, t_lim, workload, cap);
+  for (std::size_t position = 0; position < picked.size(); ++position) {
+    const VirtualNode& node = nodes[picked[position]];
+    const Processor& slave = fork.slave(node.source);
+    const Time emission = std::max(port, workload.releases()[position]);
+    port = emission + slave.comm;
+    EXPECT_LE(port, node.deadline(t_lim));
+    const Time start = std::max(port, slave_free[node.source]);
+    slave_free[node.source] = start + slave.work;
+    schedule.tasks.push_back(ForkTask{node.source, emission, start});
+  }
+  return schedule;
+}
+
+/// The generic released spider schedule: `transform`, the generic
+/// selection, and each leg's positions mapped in order onto the suffix
+/// tasks of its leg schedule.
+SpiderSchedule generic_spider_schedule(const Spider& spider, Time t_lim,
+                                       const Workload& workload, std::size_t cap) {
+  const SpiderTransformation tf =
+      SpiderScheduler::transform(spider, t_lim, std::min(cap, workload.count()));
+  const std::vector<std::size_t> picked = generic_released(tf.nodes, t_lim, workload, cap);
+  std::vector<std::size_t> counts(spider.num_legs(), 0);
+  for (const std::size_t idx : picked) ++counts[tf.nodes[idx].source];
+  std::vector<std::size_t> next_of_leg(spider.num_legs(), 0);
+  SpiderSchedule schedule{spider, {}};
+  Time port = 0;
+  for (std::size_t position = 0; position < picked.size(); ++position) {
+    const VirtualNode& node = tf.nodes[picked[position]];
+    const std::size_t leg = node.source;
+    const ChainSchedule& ls = tf.leg_schedules[leg];
+    const ChainTask& src = ls.tasks[ls.tasks.size() - counts[leg] + next_of_leg[leg]++];
+    const Time emission = std::max(port, workload.releases()[position]);
+    port = emission + spider.leg(leg).comm(0);
+    EXPECT_LE(port, node.deadline(t_lim));
+    SpiderTask task{leg, src.proc, src.start, src.emissions};
+    task.emissions.front() = emission;
+    schedule.tasks.push_back(std::move(task));
+  }
+  return schedule;
+}
+
+TEST(ReleasedCrossCheck, ForkSchedulesMatchGenericPipeline) {
+  Rng rng(1501);
+  ForkCountScratch scratch;  // shared across every call: no state may leak
+  ForkSchedule out;
+  for (const PlatformClass cls : kClasses) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto p = static_cast<std::size_t>(rng.uniform(1, 6));
+      const Fork drawn = random_fork(rng, p, GeneratorParams{1, 12, cls});
+      const Fork fork(trial % 2 == 0 ? drawn.slaves() : zero_some_links(rng, drawn.slaves()));
+      const Workload workload = released_workload(rng);
+      const auto cap = static_cast<std::size_t>(rng.uniform(1, 14));
+      for (Time t = 0; t <= 80; t += 2) {
+        const ForkSchedule want = generic_fork_schedule(fork, t, workload, cap);
+        ForkScheduler::schedule_within_into(fork, t, workload, cap, scratch, out);
+        EXPECT_EQ(out, want) << fork.describe() << " T=" << t << " cap=" << cap;
+        EXPECT_EQ(ForkScheduler::count_within(fork, t, workload, cap, scratch),
+                  want.tasks.size());
+        EXPECT_EQ(ForkScheduler::makespan_within(fork, t, workload, cap, scratch),
+                  std::make_pair(want.tasks.size(), want.makespan()));
+      }
+      // Makespan form: the generic schedule at the smallest horizon whose
+      // generic selection admits every task.
+      const std::size_t n = workload.count();
+      Time horizon = 0;
+      while (generic_fork_schedule(fork, horizon, workload, n).tasks.size() < n) ++horizon;
+      ForkScheduler::schedule_into(fork, workload, scratch, out);
+      EXPECT_EQ(out, generic_fork_schedule(fork, horizon, workload, n)) << fork.describe();
+    }
+  }
+}
+
+TEST(ReleasedCrossCheck, SpiderSchedulesMatchGenericPipeline) {
+  Rng rng(1502);
+  SpiderSolveScratch scratch;
+  SpiderSchedule out;
+  for (const PlatformClass cls : kClasses) {
+    for (int trial = 0; trial < 5; ++trial) {
+      const auto legs = static_cast<std::size_t>(rng.uniform(1, 5));
+      const Spider drawn = random_spider(rng, legs, 3, GeneratorParams{1, 12, cls});
+      std::vector<Chain> chains;
+      for (const Chain& leg : drawn.legs()) {
+        chains.emplace_back(trial % 2 == 0 ? leg.procs() : zero_some_links(rng, leg.procs()));
+      }
+      const Spider spider(std::move(chains));
+      const Workload workload = released_workload(rng);
+      const auto cap = static_cast<std::size_t>(rng.uniform(1, 14));
+      for (Time t = 0; t <= 80; t += 2) {
+        const SpiderSchedule want = generic_spider_schedule(spider, t, workload, cap);
+        SpiderScheduler::schedule_within_into(spider, t, workload, cap, scratch, out);
+        EXPECT_EQ(out, want) << spider.describe() << " T=" << t << " cap=" << cap;
+        EXPECT_EQ(SpiderScheduler::count_within(spider, t, workload, cap, scratch.count),
+                  want.tasks.size());
+      }
+      const std::size_t n = workload.count();
+      Time horizon = 0;
+      while (generic_spider_schedule(spider, horizon, workload, n).tasks.size() < n) ++horizon;
+      SpiderScheduler::schedule_into(spider, workload, scratch, out);
+      EXPECT_EQ(out, generic_spider_schedule(spider, horizon, workload, n)) << spider.describe();
     }
   }
 }

@@ -267,6 +267,39 @@ TEST(ReleaseDates, RegistryReleasedResultsAreOptimalAndFeasible) {
   }
 }
 
+TEST(ReleaseDates, DomainEdgeCountsEveryTaskAndRefusesTheCeiling) {
+  // Released numeric domain: a last release one below kTimeInfinity is
+  // inside it, so a window ending past it admits both tasks (the second
+  // completes beyond kTimeInfinity, an ordinary int64 time); the makespan
+  // forms' search ceiling — a single-source horizon plus that release —
+  // reaches kTimeInfinity and is refused by name instead, on every kind.
+  const Fork fork({Processor{2, 3}, Processor{1, 4}, Processor{3, 2}});
+  const Spider spider({Chain({Processor{2, 5}, Processor{3, 5}}), Chain({Processor{4, 2}})});
+  const Workload workload = Workload::released({0, kTimeInfinity - 1});
+  const Time deadline = 3'000'000'000'000'000'000;
+  ForkCountScratch fork_scratch;
+  SpiderCountScratch spider_scratch;
+  EXPECT_EQ(ForkScheduler::count_within(fork, deadline, workload, 2, fork_scratch), 2u);
+  EXPECT_EQ(SpiderScheduler::count_within(spider, deadline, workload, 2, spider_scratch), 2u);
+  EXPECT_EQ(ForkScheduler::schedule_within(fork, deadline, workload, 2).tasks.size(), 2u);
+  EXPECT_EQ(SpiderScheduler::schedule_within(spider, deadline, workload, 2).tasks.size(), 2u);
+
+  api::SolveOptions pooled;
+  pooled.workload = std::make_shared<const Workload>(workload);
+  pooled.materialize = true;
+  const Chain chain({Processor{2, 5}, Processor{3, 5}});
+  for (const api::Platform& platform :
+       {api::Platform(chain), api::Platform(fork), api::Platform(spider)}) {
+    const api::DecisionResult within =
+        api::registry().solve_within(platform, "optimal", deadline, pooled);
+    EXPECT_EQ(within.tasks, 2u) << api::describe(platform);
+    const FeasibilityReport report = api::check_feasibility(within);
+    EXPECT_TRUE(report.ok()) << report.summary();
+    EXPECT_THROW((void)api::registry().solve(platform, "optimal", workload),
+                 std::invalid_argument);
+  }
+}
+
 TEST(ReleaseDates, AdapterPoolMatchesDirectPrefixScan) {
   // Heuristic entries reach the pool through the makespan-inversion
   // adapter; its answer must equal the obvious scan over canonical

@@ -12,12 +12,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "mst/api/registry.hpp"
 #include "mst/api/solve_scratch.hpp"
 #include "mst/common/rng.hpp"
+#include "mst/core/fork_scheduler.hpp"
+#include "mst/core/spider_scheduler.hpp"
 #include "mst/obs/metrics.hpp"
 #include "mst/obs/observation.hpp"
 #include "mst/platform/generator.hpp"
@@ -188,36 +194,121 @@ TEST(SolveZeroAlloc, MaterializedOptimalSolvesAreAllocationFree) {
   EXPECT_EQ(solve_allocations(spider, "optimal", 300), 0) << "spider";
 }
 
+/// `n` unit tasks with release dates drawn in [0, spread], at least one
+/// of them positive.
+Workload released_tasks(Rng& rng, std::size_t n, Time spread) {
+  std::vector<Time> releases(n);
+  for (Time& r : releases) r = rng.uniform(0, spread);
+  releases.front() = std::max<Time>(releases.front(), 1);
+  return Workload::released(std::move(releases));
+}
+
 TEST(SolveZeroAlloc, ScratchSolvesMatchPlainSolvesExactly) {
   // The scratch paths are alternative *materializations*, not alternative
   // algorithms: every field of the result — schedule payload included —
-  // must be bit-identical to the scratch-free solve.
+  // must be bit-identical to the scratch-free solve, in the makespan form
+  // and in the decision form (pooled at the plain makespan), for identical
+  // and released workloads alike.
   const api::Registry& registry = api::registry();
   Rng rng(21);
   const GeneratorParams params{1, 10, PlatformClass::kUniform};
-  const api::Platform platforms[] = {
-      api::Platform(random_chain(rng, 9, params)),
-      api::Platform(random_fork(rng, 9, params)),
-      api::Platform(random_spider(rng, 5, 4, params)),
+  const api::Platform chain(random_chain(rng, 9, params));
+  const api::Platform fork(random_fork(rng, 9, params));
+  const api::Platform spider(random_spider(rng, 5, 4, params));
+  const api::Platform tree(random_tree(rng, 10, params));
+  const std::vector<Workload> identical = {Workload::identical(1), Workload::identical(17),
+                                           Workload::identical(256)};
+  std::vector<Workload> mixed = identical;
+  mixed.push_back(released_tasks(rng, 1, 30));
+  mixed.push_back(released_tasks(rng, 24, 60));
+  mixed.push_back(released_tasks(rng, 64, 400));
+  struct Case {
+    const api::Platform& platform;
+    const char* algorithm;
+    std::vector<Workload> workloads;
+  };
+  const Case cases[] = {
+      {chain, "optimal", mixed},
+      {fork, "optimal", mixed},
+      {spider, "optimal", mixed},
+      {tree, "spider-cover", identical},
+      {tree, "forward-greedy", identical},
+      // Local search re-evaluates O(n^2) moves: smaller task counts.
+      {tree, "local-search", {Workload::identical(1), Workload::identical(17),
+                              Workload::identical(24)}},
   };
   api::SolveScratch scratch;
-  for (const api::Platform& platform : platforms) {
-    for (const std::size_t n : {1u, 17u, 256u}) {
+  for (const Case& c : cases) {
+    for (const Workload& workload : c.workloads) {
+      const std::string what = std::string(c.algorithm) + " on " + api::describe(c.platform) +
+                               ", " + workload.describe();
       api::SolveOptions plain_options;
       plain_options.materialize = true;
-      const api::SolveResult plain = registry.solve(platform, "optimal", n, plain_options);
+      const api::SolveResult plain = registry.solve(c.platform, c.algorithm, workload,
+                                                    plain_options);
 
       api::SolveOptions scratch_options = plain_options;
       scratch_options.scratch = &scratch;
-      api::SolveResult pooled = registry.solve(platform, "optimal", n, scratch_options);
+      api::SolveResult pooled = registry.solve(c.platform, c.algorithm, workload,
+                                               scratch_options);
 
-      EXPECT_EQ(pooled.makespan, plain.makespan);
-      EXPECT_EQ(pooled.lower_bound, plain.lower_bound);
-      EXPECT_EQ(pooled.tasks, plain.tasks);
-      EXPECT_EQ(pooled.schedule == plain.schedule, true);
+      EXPECT_EQ(pooled.makespan, plain.makespan) << what;
+      EXPECT_EQ(pooled.lower_bound, plain.lower_bound) << what;
+      EXPECT_EQ(pooled.tasks, plain.tasks) << what;
+      EXPECT_EQ(pooled.optimal, plain.optimal) << what;
+      EXPECT_EQ(pooled.schedule == plain.schedule, true) << what;
       scratch.recycle(std::move(pooled));
+
+      plain_options.workload = std::make_shared<const Workload>(workload);
+      scratch_options.workload = plain_options.workload;
+      const api::DecisionResult plain_within =
+          registry.solve_within(c.platform, c.algorithm, plain.makespan, plain_options);
+      api::DecisionResult pooled_within =
+          registry.solve_within(c.platform, c.algorithm, plain.makespan, scratch_options);
+      EXPECT_EQ(pooled_within.tasks, plain_within.tasks) << what;
+      EXPECT_EQ(pooled_within.makespan, plain_within.makespan) << what;
+      EXPECT_EQ(pooled_within.optimal, plain_within.optimal) << what;
+      EXPECT_EQ(pooled_within.schedule == plain_within.schedule, true) << what;
+      scratch.recycle(std::move(pooled_within));
     }
   }
+}
+
+TEST(ReleasedZeroAlloc, WarmReleasedForkSpiderIntoPathsAllocateNothing) {
+  // Core level (the registry copies the Workload into every result): the
+  // released makespan and decision `_into` paths — count probes, the
+  // selecting pass, the replay — on warm scratch allocate nothing.
+  Rng rng(41);
+  const GeneratorParams params{1, 10, PlatformClass::kUniform};
+  const Fork fork = random_fork(rng, 8, params);
+  const Spider spider = random_spider(rng, 4, 3, params);
+  const Workload workload = released_tasks(rng, 48, 300);
+  ForkCountScratch fork_scratch;
+  ForkSchedule fork_out;
+  SpiderSolveScratch spider_scratch;
+  SpiderSchedule spider_out;
+  const std::size_t n = workload.count();
+  std::size_t scheduled = 0;
+  const auto solve_all = [&] {
+    ForkScheduler::schedule_into(fork, workload, fork_scratch, fork_out);
+    const Time fork_horizon = fork_out.makespan();
+    ForkScheduler::schedule_within_into(fork, fork_horizon, workload, n, fork_scratch, fork_out);
+    scheduled = fork_out.tasks.size();
+    scheduled +=
+        ForkScheduler::makespan_within(fork, fork_horizon, workload, n, fork_scratch).first;
+    SpiderScheduler::schedule_into(spider, workload, spider_scratch, spider_out);
+    const Time spider_horizon = spider_out.makespan();
+    SpiderScheduler::schedule_within_into(spider, spider_horizon, workload, n, spider_scratch,
+                                          spider_out);
+    scheduled += spider_out.tasks.size();
+  };
+  for (int warm = 0; warm < 2; ++warm) solve_all();
+
+  alloc_probe::Scope probe;
+  solve_all();
+  const long count = probe.count();
+  EXPECT_EQ(scheduled, 3 * n);
+  EXPECT_EQ(count, 0);
 }
 
 TEST(SolveZeroAlloc, TreeHeuristicAllocationCountIndependentOfTaskCount) {
