@@ -636,6 +636,64 @@ void count_search_probes(obs::MetricsRegistry* metrics, std::size_t probes) {
   metrics->counter("core.search.probes").add(static_cast<std::int64_t>(probes));
 }
 
+/// Fork and spider views of the run-selection solvers' working sets.
+ForkCountScratch& count_scratch(ForkCountScratch& scratch) { return scratch; }
+SpiderCountScratch& count_scratch(SpiderSolveScratch& scratch) { return scratch.count; }
+Time makespan_lower_bound(const Fork& fork, std::size_t n, OnePortScratch& scratch) {
+  return fork_makespan_lower_bound(fork, n, scratch);
+}
+Time makespan_lower_bound(const Spider& spider, std::size_t n, OnePortScratch& scratch) {
+  return spider_makespan_lower_bound(spider, n, scratch);
+}
+
+/// The `optimal` entry of a kind solved by the one-port run-selection
+/// driver (fork, spider): the makespan form through `schedule_into`, the
+/// decision form through `makespan_within` (count only) or
+/// `schedule_within_into`.  The positional-release selection commits to
+/// one EDD emission order, which exhaustive search beats on some
+/// instances: a released result is feasible, not proven optimal (or
+/// maximal), and its search probes are not counted.
+template <typename Scheduler, typename P, typename Scratch, typename Schedule>
+struct RunOptimal {
+  PlatformKind kind;
+  const P& (*expect_platform)(const Platform&, const char*);
+  Scratch SolveScratch::*scratch;
+  Schedule SolveScratch::*pool;
+
+  SolveResult operator()(const Platform& p, const Workload& w, const SolveOptions& opts) const {
+    require_tasks(w);
+    const P& platform = expect_platform(p, "optimal");
+    const bool exact = !w.has_release_dates();
+    Work work(opts, scratch, pool);
+    const std::size_t probes = Scheduler::schedule_into(platform, w, work.scratch, work.pool);
+    if (exact) count_search_probes(opts.metrics, probes);
+    const Time lb = makespan_lower_bound(platform, w.count(), count_scratch(work.scratch).bound);
+    const Time makespan = work.pool.makespan();
+    return make_result("optimal", kind, w.count(), makespan, lb, exact, std::move(work.pool));
+  }
+
+  DecisionResult operator()(const Platform& p, Time deadline, const SolveOptions& opts) const {
+    const P& platform = expect_platform(p, "optimal");
+    if (deadline <= 0) return make_decision("optimal", kind, deadline, 0, 0, true, {});
+    const Workload* given = pool_of(opts);
+    const std::size_t cap = decision_cap(opts, given);
+    const Workload stream = Workload::identical(cap);  // a count: allocates nothing
+    const Workload& tasks = given != nullptr ? *given : stream;
+    const bool exact = !tasks.has_release_dates();
+    Work work(opts, scratch, pool);
+    if (!opts.materialize) {
+      // Count + makespan without building task vectors: the same selection,
+      // trim (or release replay) and sequencing as the materializing path.
+      const auto [count, makespan] = Scheduler::makespan_within(platform, deadline, tasks, cap,
+                                                                count_scratch(work.scratch));
+      return make_decision("optimal", kind, deadline, count, makespan,
+                           /*optimal=*/exact && decision_maximal(count, cap, given), {});
+    }
+    Scheduler::schedule_within_into(platform, deadline, tasks, cap, work.scratch, work.pool);
+    return decision_from_pooled("optimal", kind, deadline, exact, cap, given, work.pool);
+  }
+};
+
 /// Decision form of the exhaustive oracles, given one platform kind's
 /// brute-force count, schedule and makespan: exact count from the monotone
 /// makespan staircase, optionally materialized as the optimal schedule of
@@ -851,46 +909,11 @@ void register_spider_baselines(Registry& r, PlatformKind k, const char* single_n
 
 void register_fork_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kFork;
+  const RunOptimal<ForkScheduler, Fork, ForkCountScratch, ForkSchedule> optimal{
+      k, expect_fork, &SolveScratch::fork, &SolveScratch::fork_pool};
   r.add({k, "optimal", "Moore-Hodgson virtual-node selection, Fig 6", /*optimal=*/true,
          /*exponential=*/false, kReleaseOnly},
-        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
-          const Fork& fork = expect_fork(p, "optimal");
-          // The positional-release selection commits to one EDD emission
-          // order, which exhaustive search beats on some instances: a
-          // released schedule is feasible, not proven optimal, and its
-          // search probes are not counted.
-          const bool exact = !w.has_release_dates();
-          Work work(opts, &SolveScratch::fork, &SolveScratch::fork_pool);
-          const std::size_t probes =
-              ForkScheduler::schedule_into(fork, w, work.scratch, work.pool);
-          if (exact) count_search_probes(opts.metrics, probes);
-          const Time lb = fork_makespan_lower_bound(fork, w.count(), work.scratch.bound);
-          const Time makespan = work.pool.makespan();
-          return make_result("optimal", k, w.count(), makespan, lb, exact, std::move(work.pool));
-        },
-        [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          const Fork& fork = expect_fork(p, "optimal");
-          if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
-          const Workload* pool = pool_of(opts);
-          const std::size_t cap = decision_cap(opts, pool);
-          const Workload stream = Workload::identical(cap);  // a count: allocates nothing
-          const Workload& tasks = pool != nullptr ? *pool : stream;
-          // Not proven maximal for a released pool: see the makespan form.
-          const bool exact = !tasks.has_release_dates();
-          Work work(opts, &SolveScratch::fork, &SolveScratch::fork_pool);
-          if (!opts.materialize) {
-            // Count + makespan without building task vectors: the same
-            // selection, trim (or release replay) and EDD sequencing as
-            // the materializing path.
-            const auto [count, makespan] =
-                ForkScheduler::makespan_within(fork, deadline, tasks, cap, work.scratch);
-            return make_decision("optimal", k, deadline, count, makespan,
-                                 /*optimal=*/exact && decision_maximal(count, cap, pool), {});
-          }
-          ForkScheduler::schedule_within_into(fork, deadline, tasks, cap, work.scratch, work.pool);
-          return decision_from_pooled("optimal", k, deadline, exact, cap, pool, work.pool);
-        });
+        optimal, optimal);
   r.add({k, "greedy", "the paper's ascending-c greedy (Beaumont et al.)", /*optimal=*/false,
          /*exponential=*/false, WorkloadFeatures{}},
         [k](const Platform& p, const Workload& w, const SolveOptions&) {
@@ -933,45 +956,11 @@ void register_fork_algorithms(Registry& r) {
 
 void register_spider_algorithms(Registry& r) {
   const PlatformKind k = PlatformKind::kSpider;
+  const RunOptimal<SpiderScheduler, Spider, SpiderSolveScratch, SpiderSchedule> optimal{
+      k, expect_spider, &SolveScratch::spider, &SolveScratch::spider_pool};
   r.add({k, "optimal", "per-leg decision form + Moore-Hodgson, Theorem 3", /*optimal=*/true,
          /*exponential=*/false, kReleaseOnly},
-        [k](const Platform& p, const Workload& w, const SolveOptions& opts) {
-          require_tasks(w);
-          const Spider& spider = expect_spider(p, "optimal");
-          // Released: feasible, not proven optimal (see the fork entry).
-          const bool exact = !w.has_release_dates();
-          Work work(opts, &SolveScratch::spider, &SolveScratch::spider_pool);
-          const std::size_t probes =
-              SpiderScheduler::schedule_into(spider, w, work.scratch, work.pool);
-          if (exact) count_search_probes(opts.metrics, probes);
-          const Time lb = spider_makespan_lower_bound(spider, w.count(), work.scratch.count.bound);
-          const Time makespan = work.pool.makespan();
-          return make_result("optimal", k, w.count(), makespan, lb, exact, std::move(work.pool));
-        },
-        [k](const Platform& p, Time deadline, const SolveOptions& opts) {
-          const Spider& spider = expect_spider(p, "optimal");
-          if (deadline <= 0) return make_decision("optimal", k, deadline, 0, 0, true, {});
-          const Workload* pool = pool_of(opts);
-          const std::size_t cap = decision_cap(opts, pool);
-          const Workload stream = Workload::identical(cap);  // a count: allocates nothing
-          const Workload& tasks = pool != nullptr ? *pool : stream;
-          // A released pool is not proven maximal: see the fork entry.
-          const bool exact = !tasks.has_release_dates();
-          Work work(opts, &SolveScratch::spider, &SolveScratch::spider_pool);
-          if (!opts.materialize) {
-            // Counting only (per-leg backward count + the run-kernel
-            // selection, positional-release DP when the pool has release
-            // dates); any kept leg's latest task ends at the horizon, so a
-            // nonempty count completes exactly at `deadline`.
-            const std::size_t count =
-                SpiderScheduler::count_within(spider, deadline, tasks, cap, work.scratch.count);
-            return make_decision("optimal", k, deadline, count, count > 0 ? deadline : 0,
-                                 /*optimal=*/exact && decision_maximal(count, cap, pool), {});
-          }
-          SpiderScheduler::schedule_within_into(spider, deadline, tasks, cap, work.scratch,
-                                                work.pool);
-          return decision_from_pooled("optimal", k, deadline, exact, cap, pool, work.pool);
-        });
+        optimal, optimal);
   register_spider_baselines(r, k, "best single-processor pipeline over all legs",
                             [](const Platform& p, const char* name) -> const Spider& {
                               return expect_spider(p, name);

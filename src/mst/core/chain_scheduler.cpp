@@ -247,19 +247,13 @@ void ChainScheduler::schedule_into(const Chain& chain, const Workload& workload,
   const std::size_t n = workload.count();
   if (!workload.has_release_dates()) return schedule_into(chain, n, scratch, out);
 
-  // Minimal horizon admitting all n tasks.  The all-on-first-processor
-  // schedule shifted past the last release always fits, so the ceiling is
-  // feasible and the search is well defined; monotonicity of the count in
-  // the horizon makes it exact.  The floor adds the release term: the last
-  // emission cannot start before the last release, and that task alone
-  // still needs a one-task makespan.
-  const Time ceiling = released_ceiling(chain.t_infinity(n), workload.last_release());
-  const Time lower =
-      std::max(chain_makespan_lower_bound(chain, n),
-               workload.last_release() + chain_makespan_lower_bound(chain, 1));
-  const Time horizon = min_feasible_horizon(lower, ceiling, [&](Time t) {
-    return count_within(chain, t, workload, n, scratch) >= n;
-  });
+  // Minimal horizon admitting all n tasks: the all-on-first-processor
+  // schedule shifted past the last release always fits, and monotonicity of
+  // the count in the horizon makes the search exact.
+  const Time horizon = min_released_horizon(
+      n, chain.t_infinity(n), workload.last_release(),
+      [&](std::size_t k) { return chain_makespan_lower_bound(chain, k); },
+      [&](Time t) { return count_within(chain, t, workload, n, scratch) >= n; });
   schedule_within_into(chain, horizon, workload, n, scratch, out);
   MST_ASSERT(out.tasks.size() == n);
   // No -C^1_1 shift: release dates are absolute, the window is the schedule.

@@ -4,8 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "mst/core/bounds.hpp"
-#include "mst/core/moore_hodgson.hpp"
+#include "mst/core/run_select_driver.hpp"
 #include "mst/platform/fork.hpp"
 #include "mst/schedule/fork_schedule.hpp"
 #include "mst/workload/workload.hpp"
@@ -18,35 +17,26 @@
 /// (a) expanding every slave into virtual single-task nodes (Fig 6), and
 /// (b) selecting a maximum feasible node set on the master's one-port —
 /// a `1 || ΣU_j` instance solved optimally by Moore–Hodgson.  Each slave's
-/// nodes form one run (one latency `c`, deadlines in arithmetic
-/// progression), so every identical-workload path selects with the
-/// run-merged kernel `moore_hodgson_runs` (`moore_hodgson.hpp`) — no
-/// `DeadlineJob` array, no sort; released workloads run the
-/// positional-release kernel on the same runs.  Every form is a thin policy
-/// over one of the two kernels, every value form its `_into` twin on a
-/// fresh scratch.  The selection is normalized per slave to the
-/// smallest-exec prefix (pure deadline relaxation, count preserved), which
-/// makes it realizable as an actual schedule.  The paper's original
-/// ascending-`c` greedy is kept as `greedy_max_tasks` for cross-checking
-/// and for the heuristic-comparison experiment.
+/// nodes form one run (one latency `c`, deadlines `t − w − q·m` in
+/// arithmetic progression), and the fork is one kind of the run-selection
+/// driver (`run_select_driver.hpp`), which owns the selection, cap trim,
+/// sequencing, released replay and makespan searches it shares with the
+/// spider; this file adds the run builder, the search ceiling and the
+/// Fig 6 realization — executions queue FIFO per slave.  The selection is
+/// normalized per slave to the smallest-exec prefix (pure deadline
+/// relaxation, count preserved), which makes it realizable as an actual
+/// schedule.  The paper's original ascending-`c` greedy is kept as
+/// `greedy_max_tasks` for cross-checking and for the heuristic-comparison
+/// experiment.
 
 namespace mst {
 
-/// Reusable buffers for the fork selection paths.  Keep one per thread:
-/// with warm buffers counting, `makespan_within` and the `_into`
-/// materializations perform no heap allocation at all, matching the
-/// chain/spider paths.
-struct ForkCountScratch {
-  std::vector<Time> deadlines;       ///< every slave's node deadlines, run by run
-  std::vector<JobRun> runs;          ///< one run per slave
-  RunSelectScratch select;           ///< the run kernel's merge/bucket state
-  std::vector<std::size_t> counts;   ///< selected tasks per slave
-  std::vector<std::size_t> kept;     ///< counts of the search's smallest feasible probe
-  std::vector<std::size_t> picked;   ///< released selection: slave of each position
-  std::size_t selections = 0;        ///< selection-kernel passes made on this scratch
-  std::vector<std::pair<Time, std::size_t>> seq;  ///< (deadline, slave) sequencing
+/// Reusable buffers for the fork selection paths: the driver's plus the
+/// per-slave replay state.  Keep one per thread: with warm buffers counting, `makespan_within` and
+/// the `_into` materializations perform no heap allocation at all, matching
+/// the chain/spider paths.
+struct ForkCountScratch : RunDriverScratch {
   std::vector<Time> slave_free;      ///< per-slave completion during replay
-  OnePortScratch bound;              ///< makespan lower bound seeding the search
 };
 
 class ForkScheduler {
@@ -60,8 +50,8 @@ class ForkScheduler {
   /// Count-only decision form (private scratch; see `count_within`).
   static std::size_t max_tasks(const Fork& fork, Time t_lim, std::size_t cap);
 
-  /// Allocation-free counting: one run-kernel pass over the slaves' node
-  /// deadlines, leaving the per-slave counts in `scratch.counts`.  Returns
+  /// Allocation-free counting (the driver's count policy), leaving the
+  /// per-slave counts in `scratch.counts`.  Returns
   /// exactly `schedule_within(fork, t_lim, cap).tasks.size()`.  The makespan
   /// form's horizon search runs on this.
   static std::size_t count_within(const Fork& fork, Time t_lim, std::size_t cap,
@@ -93,19 +83,15 @@ class ForkScheduler {
   static ForkSchedule schedule_within(const Fork& fork, Time t_lim, const Workload& workload,
                                       std::size_t cap);
 
-  /// Workload makespan form: the minimal horizon of the release-aware count
-  /// (absolute times; no shift), searched from the makespan lower bound
-  /// raised past the last release, up to `released_ceiling` (search.hpp).
-  /// Returns the number of count probes the search made.
+  /// Workload makespan form: the driver's released search (absolute times;
+  /// no shift).  Returns the number of count probes the search made.
   static std::size_t schedule_into(const Fork& fork, const Workload& workload,
                                    ForkCountScratch& scratch, ForkSchedule& out);
   static ForkSchedule schedule(const Fork& fork, const Workload& workload);
 
   /// Makespan form: optimal schedule of exactly `n` tasks at the minimal
-  /// horizon `t_lim` of the monotone decision form.  The search
-  /// (`min_feasible_horizon`, search.hpp) is seeded with
-  /// `fork_makespan_lower_bound` and certified — a tight bound costs two
-  /// count probes, and the horizon found never depends on the bound.
+  /// horizon of the monotone decision form — the driver's identical search,
+  /// seeded with `fork_makespan_lower_bound`.
   static ForkSchedule schedule(const Fork& fork, std::size_t n);
 
   /// Optimal makespan of `n` tasks.
@@ -132,12 +118,8 @@ class ForkScheduler {
                                    ForkCountScratch& scratch, ForkSchedule& out);
 
   /// In-place form of `schedule(fork, n)` (which is this on a fresh scratch):
-  /// every search probe reuses the one scratch.  The search returns a
-  /// horizon it probed (unless it is the unprobed ceiling), so the counts of
-  /// the smallest feasible probe are kept and materialized directly — one
-  /// selection pass per probe and none after the search.  Returns the
-  /// number of count probes the horizon search made — a deterministic work
-  /// count.
+  /// every search probe reuses the one scratch.  Returns the number of count
+  /// probes the horizon search made — a deterministic work count.
   static std::size_t schedule_into(const Fork& fork, std::size_t n, ForkCountScratch& scratch,
                                    ForkSchedule& out);
 };

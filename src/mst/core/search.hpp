@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 
 #include "mst/common/assert.hpp"
 #include "mst/common/time.hpp"
@@ -85,6 +86,22 @@ inline Time released_ceiling(Time horizon, Time last_release) {
               "released ceiling: the last release and the horizon plus it must stay below "
               "kTimeInfinity");
   return ceiling;
+}
+
+/// The released makespan search of the chain, fork and spider workload
+/// forms: the smallest horizon at which all `n` released tasks fit, for
+/// the identical-workload ceiling `ceiling` and the makespan lower bound
+/// `lower_bound(k)` of `k` identical tasks.  The floor adds the release
+/// term to the bound — the last emission cannot start before the last
+/// release, and that task alone still needs a one-task makespan — and the
+/// ceiling is `released_ceiling(ceiling, last_release)`, computed first so
+/// an out-of-domain release is refused before the floor's arithmetic.
+template <typename LowerBound, typename Feasible>
+Time min_released_horizon(std::size_t n, Time ceiling, Time last_release,
+                          LowerBound&& lower_bound, Feasible&& feasible) {
+  const Time top = released_ceiling(ceiling, last_release);
+  const Time floor = std::max(lower_bound(n), last_release + lower_bound(1));
+  return min_feasible_horizon(floor, top, feasible);
 }
 
 }  // namespace mst

@@ -1,12 +1,11 @@
 #pragma once
 
 #include <cstddef>
-#include <tuple>
+#include <utility>
 #include <vector>
 
-#include "mst/core/bounds.hpp"
 #include "mst/core/chain_scheduler.hpp"
-#include "mst/core/moore_hodgson.hpp"
+#include "mst/core/run_select_driver.hpp"
 #include "mst/core/virtual_nodes.hpp"
 #include "mst/platform/spider.hpp"
 #include "mst/schedule/chain_schedule.hpp"
@@ -21,23 +20,20 @@
 ///   (2) turn every scheduled task into a virtual single-task node
 ///       (`comm = c_1` of the leg, `exec = T_lim − C¹ᵢ − c_1`, Fig 7);
 ///   (3) select a maximum feasible node set on the master's one-port
-///       (the fork-graph step; Moore–Hodgson here — each leg's nodes share
-///       `c_1` and come in deadline order, so the selection is the
-///       run-merged kernel `moore_hodgson_runs`, one run per leg);
+///       (the fork-graph step — each leg's nodes share `c_1` and come in
+///       deadline order, so they form one run per leg);
 ///   (4) revert: a leg with `k` selected nodes executes the *last `k`
 ///       tasks* of its chain schedule — optimal for `k` tasks by the
 ///       backward construction (Lemma 4) — with master emissions moved to
 ///       the (earlier) times chosen in step (3), which is feasible by
 ///       Lemma 3.
-/// The makespan form searches the minimal `T_lim` of the monotone decision
-/// form, seeded with `spider_makespan_lower_bound` and certified
-/// (`min_feasible_horizon`, search.hpp): a tight bound costs two count
-/// probes, and the horizon never depends on the bound.  The per-leg counts
-/// of the smallest feasible probe are kept, so materializing at the horizon
-/// builds the legs and reverts without a second selection pass.  Release
-/// dates swap step (3) for the positional-release kernel on the same runs;
-/// every value form is its `_into` twin on a fresh scratch.  Total
-/// complexity stays polynomial (Theorem 2) and the result is optimal
+/// The spider is one kind of the run-selection driver
+/// (`run_select_driver.hpp`), which owns step (3), the sequencing of step
+/// (4) and the makespan searches it shares with the fork; this file adds
+/// steps (1)–(2) as the run builders, the search ceiling, and the task
+/// writer of step (4).  The makespan form searches the minimal `T_lim` of
+/// the monotone decision form, seeded with `spider_makespan_lower_bound`.
+/// Total complexity stays polynomial (Theorem 2) and the result is optimal
 /// (Theorem 3).
 
 namespace mst {
@@ -54,29 +50,20 @@ struct SpiderTransformation {
   std::vector<VirtualNode> nodes;
 };
 
-/// Reusable buffers for `SpiderScheduler::count_within`.  Keep one per
-/// thread; with warm buffers the whole spider count — per-leg backward
-/// counting plus the run-kernel selection — runs without allocating.
-struct SpiderCountScratch {
+/// Reusable buffers for `SpiderScheduler::count_within`: the driver's plus
+/// the per-leg backward counting.  Keep one per thread; with warm buffers the whole
+/// spider count — per-leg backward counting plus the run-kernel selection —
+/// runs without allocating.
+struct SpiderCountScratch : RunDriverScratch {
   ChainCountScratch chain;           ///< shared across legs
-  std::vector<Time> deadlines;       ///< every leg's node deadlines, run by run
-  std::vector<JobRun> runs;          ///< one run per leg
-  RunSelectScratch select;           ///< the run kernel's merge/bucket state
-  std::vector<std::size_t> counts;   ///< selected tasks per leg
-  std::vector<std::size_t> kept;     ///< counts of the search's smallest feasible probe
-  std::size_t selections = 0;        ///< selection-kernel passes made on this scratch
-  OnePortScratch bound;              ///< makespan lower bound seeding the search
 };
 
 /// Reusable buffers for the scratch-reusing materializing path
 /// (`schedule_into` / `schedule_within_into`): the counting scratch plus
-/// pooled per-leg decision schedules and the step (4) working set.
+/// pooled per-leg decision schedules.
 struct SpiderSolveScratch {
-  SpiderCountScratch count;          ///< search probes, selection and leg builds
+  SpiderCountScratch count;          ///< search probes, selection and sequencing
   std::vector<ChainSchedule> legs;   ///< pooled leg decision schedules
-  /// Step (4) sequencing: (deadline, leg, task_index).
-  std::vector<std::tuple<Time, std::size_t, std::size_t>> chosen;
-  std::vector<std::size_t> picked;   ///< released selection: leg of each position
 };
 
 class SpiderScheduler {
@@ -92,8 +79,8 @@ class SpiderScheduler {
   /// Count-only decision form (private scratch; see `count_within`).
   static std::size_t max_tasks(const Spider& spider, Time t_lim, std::size_t cap);
 
-  /// Allocation-free counting: runs the per-leg backward counting and the
-  /// run-kernel selection entirely in `scratch` (per-leg counts left in
+  /// Allocation-free counting: the per-leg backward counting and the
+  /// driver's count policy entirely in `scratch` (per-leg counts left in
   /// `scratch.counts`), never materializing leg schedules or virtual-node
   /// vectors.  Returns exactly
   /// `schedule_within(spider, t_lim, cap).tasks.size()`.  Both the makespan
@@ -121,17 +108,22 @@ class SpiderScheduler {
   /// Non-uniform sizes are rejected.
   static std::size_t count_within(const Spider& spider, Time t_lim, const Workload& workload,
                                   std::size_t cap, SpiderCountScratch& scratch);
+  /// Count and completion time of the decision-form schedule:
+  /// `{count, count > 0 ? t_lim : 0}` — every kept leg keeps its latest
+  /// task, which ends exactly at the horizon — so the registry's count path
+  /// makes the same call for forks and spiders.
+  static std::pair<std::size_t, Time> makespan_within(const Spider& spider, Time t_lim,
+                                                      const Workload& workload, std::size_t cap,
+                                                      SpiderCountScratch& scratch);
   static void schedule_within_into(const Spider& spider, Time t_lim, const Workload& workload,
                                    std::size_t cap, SpiderSolveScratch& scratch,
                                    SpiderSchedule& out);
   static SpiderSchedule schedule_within(const Spider& spider, Time t_lim,
                                         const Workload& workload, std::size_t cap);
 
-  /// Workload makespan form: the minimal horizon of the release-aware count,
-  /// searched from the makespan lower bound raised past the last release,
-  /// up to `released_ceiling` (search.hpp); the result keeps absolute times
-  /// (release dates pin the origin).  Returns the number of count probes
-  /// the search made.
+  /// Workload makespan form: the driver's released search; the result keeps
+  /// absolute times (release dates pin the origin).  Returns the number of
+  /// count probes the search made.
   static std::size_t schedule_into(const Spider& spider, const Workload& workload,
                                    SpiderSolveScratch& scratch, SpiderSchedule& out);
   static SpiderSchedule schedule(const Spider& spider, const Workload& workload);
@@ -142,16 +134,15 @@ class SpiderScheduler {
   // scratch perform zero heap allocations (tests/test_zero_alloc.cpp).
 
   /// In-place form of `schedule_within(spider, t_lim, cap)`: per-leg builds
-  /// through the chain `_into` path into pooled leg slots, one run-kernel
-  /// pass over their node deadlines (leg order, so the tie-breaks are those
-  /// of `moore_hodgson` over the `transform` nodes), then the trim and the
-  /// EDD re-sequencing.
+  /// through the chain `_into` path into pooled leg slots, then one
+  /// materializing driver pass over their node deadlines (leg order, so the
+  /// tie-breaks are those of `moore_hodgson` over the `transform` nodes).
   static void schedule_within_into(const Spider& spider, Time t_lim, std::size_t cap,
                                    SpiderSolveScratch& scratch, SpiderSchedule& out);
 
   /// In-place form of `schedule(spider, n)` (which is this on a fresh
-  /// scratch): horizon search, leg build at the horizon, revert from the
-  /// kept counts, normalize.  Returns the number of count probes the search
+  /// scratch): the driver's identical search, leg build at the horizon,
+  /// revert from the kept counts, normalize.  Returns the number of count probes the search
   /// made — a deterministic work count.
   static std::size_t schedule_into(const Spider& spider, std::size_t n,
                                    SpiderSolveScratch& scratch, SpiderSchedule& out);
