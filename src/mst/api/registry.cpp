@@ -473,8 +473,21 @@ SolveResult Registry::solve(const Platform& platform, std::string_view algorithm
   return solve(platform, algorithm, Workload::identical(n), options);
 }
 
+namespace {
+
+/// The decision forms' numeric domain, checked once at the registry's
+/// entry: every schedule time below a deadline must stay below
+/// `kTimeInfinity`, so the time arithmetic under it cannot overflow.
+void require_deadline_in_domain(Time deadline) {
+  MST_REQUIRE(deadline < kTimeInfinity, "deadline: a decision-form deadline must stay below "
+                                        "kTimeInfinity");
+}
+
+}  // namespace
+
 DecisionResult Registry::solve_within(const Platform& platform, std::string_view algorithm,
                                       Time deadline, const SolveOptions& options) const {
+  require_deadline_in_domain(deadline);
   if (options.workload != nullptr) {
     if (const AlgorithmInfo* entry = info(kind_of(platform), algorithm)) {
       require_supported(algorithm, entry->supports, options.workload->features());
@@ -495,6 +508,7 @@ DecisionResult Registry::solve_within(const Platform& platform, std::string_view
 
 std::size_t Registry::max_tasks(const Platform& platform, std::string_view algorithm,
                                 Time deadline, const SolveOptions& options) const {
+  require_deadline_in_domain(deadline);
   return resolve(*this, platform, algorithm).max_tasks(platform, deadline, options);
 }
 

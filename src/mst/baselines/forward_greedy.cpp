@@ -11,8 +11,8 @@ ChainSchedule forward_greedy_chain(const Chain& chain, std::size_t n) {
   schedule.tasks.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t best_dest = 0;
-    Time best_completion = kTimeInfinity;
-    for (std::size_t dest = 0; dest < chain.size(); ++dest) {
+    Time best_completion = state.peek_completion(0);
+    for (std::size_t dest = 1; dest < chain.size(); ++dest) {
       const Time completion = state.peek_completion(dest);
       if (completion < best_completion) {
         best_completion = completion;
@@ -30,9 +30,9 @@ SpiderSchedule forward_greedy_spider(const Spider& spider, std::size_t n) {
   schedule.tasks.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     SpiderDest best_dest{0, 0};
-    Time best_completion = kTimeInfinity;
+    Time best_completion = state.peek_completion(best_dest);
     for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-      for (std::size_t q = 0; q < spider.leg(l).size(); ++q) {
+      for (std::size_t q = l == 0 ? 1 : 0; q < spider.leg(l).size(); ++q) {
         const Time completion = state.peek_completion({l, q});
         if (completion < best_completion) {
           best_completion = completion;
@@ -53,8 +53,8 @@ ChainSchedule forward_greedy_chain(const Chain& chain, const Workload& workload)
     const Time size = workload.size_of(i);
     const Time release = workload.release_of(i);
     std::size_t best_dest = 0;
-    Time best_completion = kTimeInfinity;
-    for (std::size_t dest = 0; dest < chain.size(); ++dest) {
+    Time best_completion = state.peek_completion(0, size, release);
+    for (std::size_t dest = 1; dest < chain.size(); ++dest) {
       const Time completion = state.peek_completion(dest, size, release);
       if (completion < best_completion) {
         best_completion = completion;
@@ -74,9 +74,9 @@ SpiderSchedule forward_greedy_spider(const Spider& spider, const Workload& workl
     const Time size = workload.size_of(i);
     const Time release = workload.release_of(i);
     SpiderDest best_dest{0, 0};
-    Time best_completion = kTimeInfinity;
+    Time best_completion = state.peek_completion(best_dest, size, release);
     for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-      for (std::size_t q = 0; q < spider.leg(l).size(); ++q) {
+      for (std::size_t q = l == 0 ? 1 : 0; q < spider.leg(l).size(); ++q) {
         const Time completion = state.peek_completion({l, q}, size, release);
         if (completion < best_completion) {
           best_completion = completion;

@@ -1,5 +1,6 @@
 #include "mst/baselines/single_node.hpp"
 
+#include <utility>
 #include <vector>
 
 #include "mst/baselines/asap.hpp"
@@ -7,19 +8,31 @@
 
 namespace mst {
 
-ChainSchedule single_node_chain(const Chain& chain, std::size_t n) {
-  MST_REQUIRE(n >= 1, "need at least one task");
-  ChainSchedule best{chain, {}};
-  Time best_makespan = kTimeInfinity;
-  for (std::size_t q = 0; q < chain.size(); ++q) {
-    ChainSchedule candidate = asap_chain_schedule(chain, std::vector<std::size_t>(n, q));
-    const Time m = candidate.makespan();
-    if (m < best_makespan) {
-      best_makespan = m;
-      best = std::move(candidate);
+namespace {
+
+/// The smallest-makespan schedule among `candidate(i)`, `i < count`, ties
+/// to the lowest index.  Seeded with the first candidate, never with a
+/// sentinel: whatever its makespan, the result is a real schedule of the
+/// whole workload.
+template <typename Candidate>
+auto best_of(std::size_t count, Candidate&& candidate) {
+  auto best = candidate(0);
+  Time best_makespan = best.makespan();
+  for (std::size_t i = 1; i < count; ++i) {
+    auto next = candidate(i);
+    const Time makespan = next.makespan();
+    if (makespan < best_makespan) {
+      best_makespan = makespan;
+      best = std::move(next);
     }
   }
   return best;
+}
+
+}  // namespace
+
+ChainSchedule single_node_chain(const Chain& chain, std::size_t n) {
+  return single_node_chain(chain, Workload::identical(n));
 }
 
 Time single_node_chain_makespan(const Chain& chain, std::size_t n) {
@@ -27,21 +40,7 @@ Time single_node_chain_makespan(const Chain& chain, std::size_t n) {
 }
 
 SpiderSchedule single_node_spider(const Spider& spider, std::size_t n) {
-  MST_REQUIRE(n >= 1, "need at least one task");
-  SpiderSchedule best{spider, {}};
-  Time best_makespan = kTimeInfinity;
-  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    for (std::size_t q = 0; q < spider.leg(l).size(); ++q) {
-      SpiderSchedule candidate =
-          asap_spider_schedule(spider, std::vector<SpiderDest>(n, SpiderDest{l, q}));
-      const Time m = candidate.makespan();
-      if (m < best_makespan) {
-        best_makespan = m;
-        best = std::move(candidate);
-      }
-    }
-  }
-  return best;
+  return single_node_spider(spider, Workload::identical(n));
 }
 
 Time single_node_spider_makespan(const Spider& spider, std::size_t n) {
@@ -50,36 +49,21 @@ Time single_node_spider_makespan(const Spider& spider, std::size_t n) {
 
 ChainSchedule single_node_chain(const Chain& chain, const Workload& workload) {
   MST_REQUIRE(workload.count() >= 1, "need at least one task");
-  ChainSchedule best{chain, {}};
-  Time best_makespan = kTimeInfinity;
-  for (std::size_t q = 0; q < chain.size(); ++q) {
-    ChainSchedule candidate =
-        asap_chain_schedule(chain, std::vector<std::size_t>(workload.count(), q), workload);
-    const Time m = candidate.makespan();
-    if (m < best_makespan) {
-      best_makespan = m;
-      best = std::move(candidate);
-    }
-  }
-  return best;
+  return best_of(chain.size(), [&](std::size_t q) {
+    return asap_chain_schedule(chain, std::vector<std::size_t>(workload.count(), q), workload);
+  });
 }
 
 SpiderSchedule single_node_spider(const Spider& spider, const Workload& workload) {
   MST_REQUIRE(workload.count() >= 1, "need at least one task");
-  SpiderSchedule best{spider, {}};
-  Time best_makespan = kTimeInfinity;
+  std::vector<SpiderDest> nodes;
   for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-    for (std::size_t q = 0; q < spider.leg(l).size(); ++q) {
-      SpiderSchedule candidate = asap_spider_schedule(
-          spider, std::vector<SpiderDest>(workload.count(), SpiderDest{l, q}), workload);
-      const Time m = candidate.makespan();
-      if (m < best_makespan) {
-        best_makespan = m;
-        best = std::move(candidate);
-      }
-    }
+    for (std::size_t q = 0; q < spider.leg(l).size(); ++q) nodes.push_back(SpiderDest{l, q});
   }
-  return best;
+  return best_of(nodes.size(), [&](std::size_t i) {
+    return asap_spider_schedule(spider, std::vector<SpiderDest>(workload.count(), nodes[i]),
+                                workload);
+  });
 }
 
 }  // namespace mst

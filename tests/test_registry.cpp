@@ -138,6 +138,20 @@ TEST(Registry, RandomInstancesStayFeasible) {
   }
 }
 
+TEST(Registry, DeadlineOutsideTheDomainIsRefusedAtEntry) {
+  // Refused once, at the registry's decision entry points, for every kind
+  // and algorithm — before any time arithmetic could overflow.
+  for (const api::AlgorithmInfo& info : api::registry().list()) {
+    const api::Platform platform = platform_of(info.kind);
+    EXPECT_THROW((void)api::registry().solve_within(platform, info.name, kTimeInfinity),
+                 std::invalid_argument)
+        << info.name;
+    EXPECT_THROW((void)api::registry().max_tasks(platform, info.name, kTimeInfinity),
+                 std::invalid_argument)
+        << info.name;
+  }
+}
+
 TEST(Registry, UnknownAlgorithmThrowsWithKnownNames) {
   try {
     (void)api::registry().solve(fig2_chain(), "simulated-annealing", 4);

@@ -269,10 +269,13 @@ TEST(ReleaseDates, RegistryReleasedResultsAreOptimalAndFeasible) {
 
 TEST(ReleaseDates, DomainEdgeCountsEveryTaskAndRefusesTheCeiling) {
   // Released numeric domain: a last release one below kTimeInfinity is
-  // inside it, so a window ending past it admits both tasks (the second
-  // completes beyond kTimeInfinity, an ordinary int64 time); the makespan
-  // forms' search ceiling — a single-source horizon plus that release —
-  // reaches kTimeInfinity and is refused by name instead, on every kind.
+  // inside it, so a core window ending past it admits both tasks (the
+  // second completes beyond kTimeInfinity, an ordinary int64 time); the
+  // makespan forms' search ceiling — a single-source horizon plus that
+  // release — reaches kTimeInfinity and is refused by name instead, on
+  // every kind.  The registry's decision entry refuses a deadline at or
+  // above kTimeInfinity, and its last in-domain deadline admits only the
+  // first task.
   const Fork fork({Processor{2, 3}, Processor{1, 4}, Processor{3, 2}});
   const Spider spider({Chain({Processor{2, 5}, Processor{3, 5}}), Chain({Processor{4, 2}})});
   const Workload workload = Workload::released({0, kTimeInfinity - 1});
@@ -290,9 +293,11 @@ TEST(ReleaseDates, DomainEdgeCountsEveryTaskAndRefusesTheCeiling) {
   const Chain chain({Processor{2, 5}, Processor{3, 5}});
   for (const api::Platform& platform :
        {api::Platform(chain), api::Platform(fork), api::Platform(spider)}) {
+    EXPECT_THROW((void)api::registry().solve_within(platform, "optimal", deadline, pooled),
+                 std::invalid_argument);
     const api::DecisionResult within =
-        api::registry().solve_within(platform, "optimal", deadline, pooled);
-    EXPECT_EQ(within.tasks, 2u) << api::describe(platform);
+        api::registry().solve_within(platform, "optimal", kTimeInfinity - 1, pooled);
+    EXPECT_EQ(within.tasks, 1u) << api::describe(platform);
     const FeasibilityReport report = api::check_feasibility(within);
     EXPECT_TRUE(report.ok()) << report.summary();
     EXPECT_THROW((void)api::registry().solve(platform, "optimal", workload),

@@ -70,6 +70,22 @@ TEST(SpiderScheduler, DecisionFormWithinWindow) {
   }
 }
 
+TEST(SpiderScheduler, MakespanWithinIsTheCountAtTheHorizon) {
+  // Every kept leg keeps its latest task, which ends exactly at the window.
+  const Spider spider{fig2_chain(), Chain::from_vectors({4}, {2})};
+  SpiderCountScratch scratch;
+  for (Time t = 0; t <= 20; ++t) {
+    for (const Workload& w : {Workload::identical(50), Workload::released({0, 3, 3, 9, 12})}) {
+      const std::size_t count = SpiderScheduler::count_within(spider, t, w, 50, scratch);
+      const auto [tasks, makespan] = SpiderScheduler::makespan_within(spider, t, w, 50, scratch);
+      EXPECT_EQ(tasks, count) << "T=" << t;
+      EXPECT_EQ(makespan, count > 0 ? t : 0) << "T=" << t;
+      EXPECT_EQ(makespan, SpiderScheduler::schedule_within(spider, t, w, 50).makespan())
+          << "T=" << t;
+    }
+  }
+}
+
 TEST(SpiderScheduler, DecisionFormMonotoneInWindow) {
   const Spider spider{fig2_chain(), Chain::from_vectors({4}, {2}),
                       Chain::from_vectors({1, 1}, {2, 2})};

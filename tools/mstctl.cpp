@@ -36,7 +36,8 @@
 // rejected when named explicitly), and `max-tasks` draws its tasks from it
 // as a finite pool.  `--seed` makes the randomized online policies
 // reproducible.  Exit status is 0 on success, 1 on validation failure, 2 on
-// usage errors.
+// usage errors and refused inputs; a `solve --algo=all` table prints a
+// refusal in its row and goes on with the other algorithms.
 //
 // `sweep` runs a declarative scenario grid (mst/scenario/spec.hpp) through
 // the parallel sweep runner and prints long-form CSV (default) or JSON.
@@ -286,12 +287,24 @@ int run_solve(const mst::Args& args) {
   if (workload && args.get("algo", "all") == "all") skip_unsupported(selected, *workload);
 
   Table table({"algorithm", "optimal", "makespan", "lower bound", "throughput", "feasible"});
+  const bool sweep_all = args.get("algo", "all") == "all";
   bool all_feasible = true;
+  bool refused = false;
   bool traced = false;
   for (const api::AlgorithmInfo& info : selected) {
-    const api::SolveResult result =
-        workload ? api::registry().solve(platform, info.name, *workload, options)
-                 : api::registry().solve(platform, info.name, n, options);
+    api::SolveResult result;
+    try {
+      result = workload ? api::registry().solve(platform, info.name, *workload, options)
+                        : api::registry().solve(platform, info.name, n, options);
+    } catch (const std::exception& e) {
+      // One algorithm refusing the instance must not hide the rows of the
+      // ones that solve it; the exit status still reports the refusal.
+      if (!sweep_all) throw;
+      refused = true;
+      table.row().cell(info.name).cell("-").cell("-").cell("-").cell("-").cell(
+          std::string("refused: ") + e.what());
+      continue;
+    }
     const FeasibilityReport report = api::check_feasibility(result);
     all_feasible = all_feasible && report.ok();
     // The trace carries one Gantt: the first selected algorithm's schedule,
@@ -312,6 +325,7 @@ int run_solve(const mst::Args& args) {
   }
   table.print(std::cout);
   obs.write();
+  if (refused) return 2;
   return all_feasible ? 0 : 1;
 }
 
