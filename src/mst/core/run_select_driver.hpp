@@ -216,7 +216,6 @@ std::size_t decide(Kind& kind, Time t_lim, const Workload& workload, std::size_t
 /// `min_released_horizon` and materialize with one released pass.
 template <typename Kind, typename Emit>
 std::size_t solve(Kind& kind, const Workload& workload, RunDriverScratch& s, Emit&& emit) {
-  require_window(workload, 0);
   MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
   const std::size_t n = workload.count();
   std::size_t probes = 0;
