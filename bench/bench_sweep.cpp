@@ -1,7 +1,8 @@
 // SWEEP: end-to-end scenario-runner benchmarks — the batched work-stealing
 // executor (same-platform batches, one warm SolveScratch per worker) at 1
-// and 4 threads, plus scratch-vs-fresh micro rows for one materialized
-// solve.  Results are bit-identical in every configuration (pinned by
+// and 4 threads, the same grid with a metrics sink (one registry per
+// worker, merged at join: the layer-level cost of leaving metrics on),
+// plus scratch-vs-fresh micro rows for one materialized solve.  Results are bit-identical in every configuration (pinned by
 // tests/test_zero_alloc.cpp and the CI thread-count diffs); only wall time
 // moves.  Timing harness shared with the other bench_*
 // binaries: bench/bench_harness.hpp; the committed baseline is
@@ -16,6 +17,7 @@
 #include "mst/api/registry.hpp"
 #include "mst/api/solve_scratch.hpp"
 #include "mst/common/rng.hpp"
+#include "mst/obs/metrics.hpp"
 #include "mst/platform/generator.hpp"
 #include "mst/scenario/runner.hpp"
 
@@ -77,12 +79,19 @@ std::vector<mst::scenario::Cell> make_grid() {
   return cells;
 }
 
-double grid_ns(const std::vector<mst::scenario::Cell>& cells, unsigned threads) {
+double grid_ns(const std::vector<mst::scenario::Cell>& cells, unsigned threads,
+               bool metrics = false) {
   mst::scenario::RunOptions options;
   options.threads = threads;
   options.materialize = true;
   options.reps = 2;
-  return time_op([&] { keep(mst::scenario::run_cells(cells, options)); });
+  return time_op([&] {
+    // A fresh sink per sweep, as `mstctl --metrics-out` makes one.
+    std::unique_ptr<mst::obs::MetricsRegistry> sink;
+    if (metrics) sink = std::make_unique<mst::obs::MetricsRegistry>();
+    options.metrics = sink.get();
+    keep(mst::scenario::run_cells(cells, options));
+  });
 }
 
 std::vector<Row> run_all() {
@@ -94,6 +103,8 @@ std::vector<Row> run_all() {
   const std::vector<mst::scenario::Cell> cells = make_grid();
   rows.push_back({"sweep_batched", 1, grid_ns(cells, 1)});
   rows.push_back({"sweep_batched", 4, grid_ns(cells, 4)});
+  rows.push_back({"sweep_metrics", 1, grid_ns(cells, 1, /*metrics=*/true)});
+  rows.push_back({"sweep_metrics", 4, grid_ns(cells, 4, /*metrics=*/true)});
 
   // Micro: one materialized solve, warm scratch vs fresh allocations.
   mst::Rng rng(0x5EED);

@@ -1,6 +1,8 @@
 #include "mst/core/spider_scheduler.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "mst/common/assert.hpp"
 #include "mst/core/bounds.hpp"
@@ -25,10 +27,20 @@ SpiderTransformation SpiderScheduler::transform(const Spider& spider, Time t_lim
 namespace {
 
 /// All `n` tasks on the single best leg (each leg's trivial
-/// first-processor schedule): a feasible horizon, the search ceiling.
+/// first-processor schedule): a feasible horizon, the search ceiling.  A
+/// leg outside the chain domain is refused here, before any bound or probe
+/// arithmetic, by spider and leg index — the chain's own refusal cannot
+/// say which leg of which platform it came from.
 Time single_leg_horizon(const Spider& spider, std::size_t n) {
   Time best = kTimeInfinity;
-  for (const Chain& leg : spider.legs()) best = std::min(best, leg.t_infinity(n));
+  for (std::size_t l = 0; l < spider.num_legs(); ++l) {
+    try {
+      best = std::min(best, spider.leg(l).t_infinity(n));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("spider ceiling: leg " + std::to_string(l) + " of " +
+                                  std::to_string(spider.num_legs()) + ": " + e.what());
+    }
+  }
   return best;
 }
 

@@ -34,7 +34,8 @@ detail::MetricSlot* MetricsRegistry::intern(std::string_view name, MetricType ty
   LockGuard lock(mutex_);
   for (std::size_t i = 0; i < size_; ++i) {
     detail::MetricSlot& slot = slots_[i];
-    if (std::string_view(slot.name) == name) {
+    if (slot.name_size == name.size() &&
+        std::memcmp(slot.name, name.data(), name.size()) == 0) {
       if (slot.type != type) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
         return nullptr;
@@ -49,6 +50,7 @@ detail::MetricSlot* MetricsRegistry::intern(std::string_view name, MetricType ty
   detail::MetricSlot& slot = slots_[size_++];
   std::memcpy(slot.name, name.data(), name.size());
   slot.name[name.size()] = '\0';
+  slot.name_size = static_cast<std::uint8_t>(name.size());
   slot.type = type;
   slot.determinism = determinism;
   return &slot;
@@ -125,6 +127,21 @@ std::string MetricsRegistry::to_json(bool include_wall_time) const {
   return out;
 }
 
+namespace {
+
+/// Adds histogram totals into `slot`: count, sum and every bucket.
+template <typename Bucket>
+void add_histogram(detail::MetricSlot& slot, std::int64_t count, std::int64_t sum,
+                   Bucket&& bucket) {
+  slot.count.fetch_add(count, std::memory_order_relaxed);
+  slot.sum.fetch_add(sum, std::memory_order_relaxed);
+  for (std::size_t b = 0; b < kBucketCount; ++b) {
+    slot.buckets[b].fetch_add(bucket(b), std::memory_order_relaxed);
+  }
+}
+
+}  // namespace
+
 void MetricsRegistry::absorb(const MetricSample& sample) {
   switch (sample.type) {
     case MetricType::kCounter:
@@ -137,25 +154,64 @@ void MetricsRegistry::absorb(const MetricSample& sample) {
       detail::MetricSlot* slot =
           intern(sample.name, MetricType::kHistogram, sample.determinism);
       if (slot == nullptr) break;
-      slot->count.fetch_add(sample.count, std::memory_order_relaxed);
-      slot->sum.fetch_add(sample.sum, std::memory_order_relaxed);
-      for (std::size_t b = 0; b < kBucketCount; ++b) {
-        slot->buckets[b].fetch_add(sample.buckets[b], std::memory_order_relaxed);
-      }
+      add_histogram(*slot, sample.count, sample.sum,
+                    [&](std::size_t b) { return sample.buckets[b]; });
       break;
     }
   }
 }
 
 void MetricsRegistry::merge_into(MetricsRegistry& target) const {
-  // Walks this registry's snapshot (wall-time metrics included — the filter
-  // belongs at serialization time, not merge time) and folds each sample
-  // into the target with the metric's own commutative combine: counters and
-  // histogram buckets add, gauges take the max.  Concurrent merges from
-  // several finished cells therefore commute.
-  for (const MetricSample& sample : snapshot(/*include_wall_time=*/true)) {
-    target.absorb(sample);
+  // Folds each registered slot (wall-time metrics included — the filter
+  // belongs at serialization time, not merge time) into the target with
+  // the metric's own commutative combine: counters and histogram buckets
+  // add, gauges take the max.  Concurrent merges therefore commute.  Slots
+  // below `size_` never change name or type, so only the count is read
+  // under the lock.
+  std::size_t size = 0;
+  {
+    LockGuard lock(mutex_);
+    size = size_;
   }
+  for (std::size_t i = 0; i < size; ++i) {
+    const detail::MetricSlot& from = slots_[i];
+    detail::MetricSlot* to = target.intern(from.name, from.type, from.determinism);
+    if (to == nullptr) continue;
+    switch (from.type) {
+      case MetricType::kCounter:
+        Counter(to).add(from.value.load(std::memory_order_relaxed));
+        break;
+      case MetricType::kGauge:
+        Gauge(to).record(from.value.load(std::memory_order_relaxed));
+        break;
+      case MetricType::kHistogram:
+        add_histogram(*to, from.count.load(std::memory_order_relaxed),
+                      from.sum.load(std::memory_order_relaxed), [&](std::size_t b) {
+                        return from.buckets[b].load(std::memory_order_relaxed);
+                      });
+        break;
+    }
+  }
+  target.dropped_.fetch_add(dropped(), std::memory_order_relaxed);
+}
+
+void MetricsRegistry::reset() {
+  LockGuard lock(mutex_);
+  for (std::size_t i = 0; i < size_; ++i) {
+    detail::MetricSlot& slot = slots_[i];
+    std::memset(slot.name, 0, sizeof slot.name);
+    slot.name_size = 0;
+    slot.type = MetricType::kCounter;
+    slot.determinism = DeterminismClass::kDeterministic;
+    slot.value.store(0, std::memory_order_relaxed);
+    slot.count.store(0, std::memory_order_relaxed);
+    slot.sum.store(0, std::memory_order_relaxed);
+    for (std::atomic<std::int64_t>& bucket : slot.buckets) {
+      bucket.store(0, std::memory_order_relaxed);
+    }
+  }
+  size_ = 0;
+  dropped_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace mst::obs

@@ -36,11 +36,15 @@
 ///    so instrumented runs allocate nothing the uninstrumented runs don't
 ///    (pinned by tests/test_zero_alloc.cpp).
 ///
-/// Sweep attribution: the scenario runner gives every cell its own local
-/// registry and `merge_into`s it into the parent when the cell finishes.
-/// Merging is the same commutative arithmetic, so the parent's totals are
-/// independent of cell completion order — the thread-count byte-identity
-/// contract extends end to end (CI diffs the JSON at 2 vs. 8 threads).
+/// Sweep attribution: each scenario-runner worker records into one
+/// long-lived registry of its own and `merge_into`s it into the parent once,
+/// when the worker finishes.  Merging is the same commutative arithmetic, so
+/// the parent's totals are independent of which worker ran which cell — the
+/// thread-count byte-identity contract extends end to end (CI diffs the
+/// JSON at 2 vs. 8 threads).  Only a journaled sweep keeps per-cell
+/// snapshots: there each cell records into a second per-worker registry,
+/// `reset` before every cell, whose snapshot rides on the cell's journal
+/// record so a resume can rebuild the aggregate.
 
 namespace mst::obs {
 
@@ -72,6 +76,7 @@ namespace detail {
 /// registry's mutex covers registration only.
 struct MetricSlot {
   char name[kMetricNameCapacity] = {};
+  std::uint8_t name_size = 0;  ///< registration compares lengths before bytes
   MetricType type = MetricType::kCounter;
   DeterminismClass determinism = DeterminismClass::kDeterministic;
   std::atomic<std::int64_t> value{0};
@@ -79,6 +84,7 @@ struct MetricSlot {
   std::atomic<std::int64_t> sum{0};
   std::array<std::atomic<std::int64_t>, kBucketCount> buckets{};
 };
+static_assert(kMetricNameCapacity <= 256, "MetricSlot::name_size is one byte");
 
 }  // namespace detail
 
@@ -210,10 +216,17 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_json(bool include_wall_time = false) const;
 
   /// Adds this registry's totals into `target` (registering names there as
-  /// needed): counters add, gauges max, histograms add per bucket.  All
+  /// needed): counters add, gauges max, histograms add per bucket, and the
+  /// refused-registration count adds into `target.dropped()`.  All
   /// commutative — concurrent merges from a worker pool land on the same
-  /// totals in any order.
+  /// totals in any order.  Heap-free: slots fold into slots, no snapshot.
   void merge_into(MetricsRegistry& target) const;
+
+  /// Forgets every registration and value, in O(registered slots): the
+  /// registry then snapshots exactly like a freshly constructed one, and
+  /// registering again allocates nothing.  Handles taken before the reset
+  /// must not be used after it — their slots get reassigned.
+  void reset();
 
   /// Folds one externally-captured sample into this registry with the
   /// metric's own commutative combine (register-as-needed; counters and

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -104,33 +105,72 @@ auto best_of_reps(int reps, api::SolveScratch& scratch, double& wall_ms, Solve&&
   return result;
 }
 
+/// One worker's metric sinks.  Without a journal, cells record straight
+/// into `total_`, one long-lived registry merged into the sweep's sink once,
+/// when the worker finishes: the merge is commutative, so the aggregate is
+/// the same at any thread count, and no cell pays for a snapshot.  A
+/// journal record must carry its own cell's delta (resume re-absorbs it),
+/// so under `journal_dir` each cell records into `cell_` instead — reset,
+/// not rebuilt, before every cell — whose snapshot lands in
+/// `CellOutcome::metrics` before it folds into `total_`.
+class WorkerMetrics {
+ public:
+  WorkerMetrics(obs::MetricsRegistry* sweep, bool per_cell) : sweep_(sweep) {
+    if (sweep_ == nullptr) return;
+    total_ = std::make_unique<obs::MetricsRegistry>();
+    if (per_cell) {
+      cell_ = std::make_unique<obs::MetricsRegistry>();
+    } else {
+      wall_us_ = wall_us_counter(*total_);
+    }
+  }
+
+  /// The registry the next cell records into; null when metrics are off.
+  obs::MetricsRegistry* begin_cell() {
+    if (cell_ == nullptr) return total_.get();
+    cell_->reset();
+    wall_us_ = wall_us_counter(*cell_);
+    return cell_.get();
+  }
+
+  /// Adds the finished cell's wall time (truncated per cell, so `--timing`
+  /// sums the same values at any thread count) and, per cell, moves its
+  /// snapshot into `out.metrics`.
+  void end_cell(CellOutcome& out) {
+    wall_us_.add(static_cast<Time>(out.wall_ms * 1000.0));
+    if (cell_ == nullptr) return;
+    out.metrics = cell_->snapshot(/*include_wall_time=*/true);
+    cell_->merge_into(*total_);
+  }
+
+  /// The worker's one merge into the sweep's sink.
+  void finish() const {
+    if (total_ != nullptr) total_->merge_into(*sweep_);
+  }
+
+ private:
+  // Host-measured, hence wall-time class: excluded from default snapshots,
+  // mirroring the reporters' --timing convention.
+  static obs::Counter wall_us_counter(obs::MetricsRegistry& registry) {
+    return registry.counter("scenario.cell.wall_us", obs::DeterminismClass::kWallTime);
+  }
+
+  obs::MetricsRegistry* const sweep_;
+  std::unique_ptr<obs::MetricsRegistry> total_;
+  std::unique_ptr<obs::MetricsRegistry> cell_;
+  obs::Counter wall_us_;
+};
+
 void run_one(const Cell& cell, const RunOptions& options, const api::Registry& registry,
-             api::SolveScratch& scratch, CellOutcome& out) {
+             api::SolveScratch& scratch, obs::MetricsRegistry* metrics, CellOutcome& out) {
   api::SolveOptions solve_options;
   solve_options.materialize = options.materialize;
   solve_options.seed = cell.seed;
   solve_options.cap = options.cap;
   solve_options.scratch = &scratch;
+  solve_options.metrics = metrics;
   // Decision-form cells of the workload axis select from a finite pool.
   if (cell.mode == CellMode::kWithin) solve_options.workload = cell.workload;
-
-  // Cell-local metrics: each cell records into its own registry (giving the
-  // per-cell snapshot), then merges into the sweep-wide one on exit — a
-  // commutative fold, so the aggregate is thread-count independent.
-  std::optional<obs::MetricsRegistry> cell_metrics;
-  if (options.metrics != nullptr) {
-    cell_metrics.emplace();
-    solve_options.metrics = &*cell_metrics;
-  }
-  const auto flush_metrics = [&] {
-    if (!cell_metrics.has_value()) return;
-    // Host-measured, hence wall-time class: excluded from default
-    // snapshots, mirroring the reporters' --timing convention.
-    cell_metrics->counter("scenario.cell.wall_us", obs::DeterminismClass::kWallTime)
-        .add(static_cast<Time>(out.wall_ms * 1000.0));
-    out.metrics = cell_metrics->snapshot(/*include_wall_time=*/true);
-    cell_metrics->merge_into(*options.metrics);
-  };
 
   try {
     const int reps = options.reps < 1 ? 1 : options.reps;
@@ -154,7 +194,6 @@ void run_one(const Cell& cell, const RunOptions& options, const api::Registry& r
       out.mean_latency = result.metrics.mean_latency;
       out.peak_backlog = result.metrics.peak_backlog;
       out.regret = result.regret;
-      flush_metrics();
       return;
     }
     if (cell.mode == CellMode::kSolve) {
@@ -192,7 +231,6 @@ void run_one(const Cell& cell, const RunOptions& options, const api::Registry& r
   } catch (const std::exception& e) {
     out.error = e.what();
   }
-  flush_metrics();
 }
 
 /// Journal records identify cells by key fields only; before trusting a
@@ -333,10 +371,12 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
   progress.start(replayed, replayed_failed);
   auto worker = [&] {
     api::SolveScratch scratch;
+    WorkerMetrics metrics(options.metrics, journal.has_value());
     for (std::size_t b = next.fetch_add(1); b < batches.size() && !stop.load();
          b = next.fetch_add(1)) {
       for (std::size_t j : batches[b]) {
-        run_one(cells[owned[j]], options, registry, scratch, results[j]);
+        run_one(cells[owned[j]], options, registry, scratch, metrics.begin_cell(), results[j]);
+        metrics.end_cell(results[j]);
         if (journal.has_value()) {
           try {
             journal->append(results[j]);
@@ -345,12 +385,13 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
             LockGuard lock(failure_mutex);
             if (journal_failure == nullptr) journal_failure = std::current_exception();
             stop.store(true);
-            return;
+            break;
           }
         }
         progress.report(!results[j].ok());
       }
     }
+    metrics.finish();
   };
 
   if (threads <= 1) {

@@ -61,10 +61,14 @@ struct RunOptions {
   /// completed cells never even enter a batch — and appends one fsync'd,
   /// checksummed record per newly finished cell.  A SIGKILL'd run resumes
   /// from its last completed cell; a torn final record is truncated away.
-  /// Replayed per-cell metric snapshots are absorbed back into `metrics`,
-  /// so the aggregate matches the uninterrupted run's.  The journals of
-  /// all N shards reassemble into the single-process bytes via
-  /// `scenario::merge_journals` (`mstctl --mode=merge`).
+  /// With `metrics` set, every record carries its cell's metric snapshot,
+  /// and replayed snapshots are absorbed back into `metrics`, so the
+  /// aggregate matches the uninterrupted run's.  Records hold no
+  /// refused-registration count, so `dropped()` covers only the cells
+  /// solved in this run, and a record written with metrics off replays no
+  /// samples.  The journals of all N shards reassemble into the
+  /// single-process bytes via `scenario::merge_journals`
+  /// (`mstctl --mode=merge`).
   std::string journal_dir;
   /// Progress callback: invoked once up front with
   /// `(replayed, shard_total, false)` — announcing the shard's cell count
@@ -80,13 +84,14 @@ struct RunOptions {
   /// still depends on thread scheduling, so a callback that cares about
   /// determinism should key on counts, never on which cell landed.
   std::function<void(std::size_t done, std::size_t total, bool failed)> on_progress;
-  /// Optional, borrowed metrics sink for the whole sweep.  Each cell solves
-  /// against its own local registry (so per-cell snapshots exist in
-  /// `CellOutcome::metrics`) and merges into this one when it finishes;
-  /// merging is commutative, so the aggregate — like every other runner
-  /// output — is byte-identical at any thread count.  Wall-time-class
-  /// entries (e.g. `scenario.cell.wall_us`) are segregated at serialization
-  /// time, mirroring the reporters' `--timing` convention.
+  /// Optional, borrowed metrics sink for the whole sweep.  Each worker
+  /// records its cells into one registry of its own and merges it into this
+  /// one once, when the worker finishes (at join); merging is commutative,
+  /// so the aggregate — like every other runner output — is byte-identical
+  /// at any thread count.  Per-cell snapshots (`CellOutcome::metrics`) are
+  /// taken only under `journal_dir`, whose records need them to resume.
+  /// Wall-time-class entries (e.g. `scenario.cell.wall_us`) are segregated
+  /// at serialization time, mirroring the reporters' `--timing` convention.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -109,8 +114,11 @@ struct CellOutcome {
   double regret = -1;            ///< online/offline makespan ratio (>= 1)
 
   /// Per-cell metric snapshot (sorted by name, wall-time entries included —
-  /// consumers filter by `DeterminismClass`).  Empty unless
-  /// `RunOptions::metrics` was set.
+  /// consumers filter by `DeterminismClass`): the delta a journal record
+  /// carries so a resume can rebuild the sweep aggregate.  Filled only when
+  /// both `RunOptions::metrics` and `RunOptions::journal_dir` are set, and
+  /// on replayed and merged journal records; otherwise empty — the sweep's
+  /// metrics then live in the aggregate alone.
   std::vector<obs::MetricSample> metrics;
 
   [[nodiscard]] bool ok() const { return error.empty(); }

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -288,6 +289,77 @@ TEST(ShardedRun, ResumeRejectsAForeignGrid) {
   spec.seed = 43;
   const std::vector<Cell> other = expand(spec);
   EXPECT_THROW(run_cells(other, options), std::runtime_error);
+}
+
+TEST(ShardedRun, PartialResumeRebuildsTheMetricAggregate) {
+  // The unjournaled reference: workers record into their own registries and
+  // no cell keeps a snapshot.
+  const std::vector<Cell> cells = expand(small_grid());
+  RunOptions plain;
+  plain.threads = 2;
+  obs::MetricsRegistry reference;
+  plain.metrics = &reference;
+  const std::vector<CellOutcome> reference_rows = run_cells(cells, plain);
+
+  // A complete journaled run with metrics on, then its journal torn in the
+  // middle of a record about halfway through the file.
+  const std::string full = scratch_dir("partial_full");
+  {
+    obs::MetricsRegistry metrics;
+    RunOptions journaled = plain;
+    journaled.metrics = &metrics;
+    journaled.journal_dir = full;
+    (void)run_cells(cells, journaled);
+  }
+  const std::string file = journal_path(full, 0, 1);
+  std::string bytes;
+  {
+    std::ifstream in(file, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const std::size_t frame = bytes.find("\nrec ", bytes.size() / 2);
+  ASSERT_NE(frame, std::string::npos);
+  const std::size_t payload = bytes.find('\n', frame + 1);
+  ASSERT_NE(payload, std::string::npos);
+  const std::size_t cut = payload + 1 + 5;  // five bytes into that record's payload
+  ASSERT_LT(cut, bytes.size());
+
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string dir = scratch_dir("partial_t" + std::to_string(threads));
+    std::filesystem::create_directories(dir);
+    const std::string torn = journal_path(dir, 0, 1);
+    std::filesystem::copy_file(file, torn);
+    std::filesystem::resize_file(torn, cut);
+
+    obs::MetricsRegistry metrics;
+    RunOptions resume = plain;
+    resume.threads = threads;
+    resume.metrics = &metrics;
+    resume.journal_dir = dir;
+    const std::vector<CellOutcome> rows = run_cells(cells, resume);
+
+    // Some cells replay, the rest (the torn one among them) solve fresh.
+    std::int64_t replayed = 0;
+    std::int64_t appended = 0;
+    std::int64_t torn_count = 0;
+    obs::MetricsRegistry without_journal;
+    for (const obs::MetricSample& sample : metrics.snapshot(true)) {
+      if (sample.name == "scenario.journal.replayed") replayed = sample.value;
+      if (sample.name == "scenario.journal.appended") appended = sample.value;
+      if (sample.name == "scenario.journal.torn") torn_count = sample.value;
+      if (sample.name.rfind("scenario.journal.", 0) != 0) without_journal.absorb(sample);
+    }
+    EXPECT_EQ(torn_count, 1) << threads << " threads";
+    EXPECT_GT(replayed, 0) << threads << " threads";
+    EXPECT_GT(appended, 0) << threads << " threads";
+    EXPECT_EQ(replayed + appended, static_cast<std::int64_t>(cells.size()));
+    EXPECT_EQ(metrics.dropped(), 0);
+
+    // The deterministic aggregate is the unjournaled run's, byte for byte,
+    // and so are the rows.
+    EXPECT_EQ(without_journal.to_json(), reference.to_json()) << threads << " threads";
+    EXPECT_EQ(to_csv(rows, {}), to_csv(reference_rows, {}));
+  }
 }
 
 /// The tentpole: shard the grid N ways through journals, merge, and demand

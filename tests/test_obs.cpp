@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <variant>
 #include <vector>
@@ -190,6 +191,53 @@ TEST(Metrics, MergeIsCommutative) {
   EXPECT_EQ(samples[3].value, 9);
 }
 
+TEST(Metrics, MergeFoldsRefusedRegistrations) {
+  // A refused registration in a worker's registry must still show in the
+  // sweep's `dropped` after the merge.
+  MetricsRegistry worker;
+  worker.counter("kept").increment();
+  (void)worker.gauge("kept");  // type clash: refused
+  (void)worker.counter("");    // empty name: refused
+  MetricsRegistry parent;
+  parent.counter("kept").add(2);
+  worker.merge_into(parent);
+  EXPECT_EQ(parent.dropped(), 2);
+  const std::vector<MetricSample> samples = parent.snapshot();
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].value, 3);
+}
+
+TEST(Metrics, ResetSnapshotsLikeAFreshRegistry) {
+  const auto populate = [](MetricsRegistry& r) {
+    r.counter("solve").add(3);
+    r.gauge("peak").record(8);
+    r.histogram("latency").observe(5);
+    r.counter("cell.wall_us", DeterminismClass::kWallTime).add(17);
+  };
+  MetricsRegistry used;
+  populate(used);
+  used.histogram("zzz.only.before.reset").observe(1000);
+  (void)used.gauge("solve");  // a drop, forgotten by the reset too
+  ASSERT_EQ(used.dropped(), 1);
+  used.reset();
+  EXPECT_EQ(used.size(), 0u);
+  EXPECT_EQ(used.dropped(), 0);
+  EXPECT_TRUE(used.snapshot(true).empty());
+  EXPECT_EQ(used.to_json(true), MetricsRegistry().to_json(true));
+
+  // Re-registered in another order, one name changing type: the reset
+  // registry serializes byte-for-byte like a fresh one given the same calls.
+  MetricsRegistry fresh;
+  for (MetricsRegistry* r : {&used, &fresh}) {
+    r->gauge("latency").record(2);
+    populate(*r);
+  }
+  EXPECT_EQ(used.snapshot(true), fresh.snapshot(true));
+  EXPECT_EQ(used.to_json(true), fresh.to_json(true));
+  EXPECT_EQ(used.dropped(), fresh.dropped());
+  EXPECT_EQ(used.size(), fresh.size());
+}
+
 TEST(Trace, RecordsAndSerializesChromeEvents) {
   TraceSink sink;
   const obs::TrackId cpu = sink.track("cpu 1");
@@ -326,8 +374,9 @@ TEST(SweepMetrics, AggregateIsByteIdenticalAtAnyThreadCount) {
     const std::vector<scenario::CellOutcome> outcomes = scenario::run_cells(cells, options);
     for (const scenario::CellOutcome& out : outcomes) {
       EXPECT_TRUE(out.ok()) << out.error;
-      // Per-cell snapshots materialized (wall-time entries included there).
-      EXPECT_FALSE(out.metrics.empty());
+      // Without a journal the workers record straight into their own
+      // registries: no cell takes a snapshot.
+      EXPECT_TRUE(out.metrics.empty());
     }
     jsons.push_back(parent.to_json());
     EXPECT_EQ(parent.dropped(), 0);
@@ -338,6 +387,30 @@ TEST(SweepMetrics, AggregateIsByteIdenticalAtAnyThreadCount) {
   EXPECT_NE(jsons[0].find("scenario.cells.completed"), std::string::npos);
   // Wall-time entries stay out of the deterministic serialization.
   EXPECT_EQ(jsons[0].find("scenario.cell.wall_us"), std::string::npos);
+
+  // A journaled run of the same grid keeps a snapshot per cell (its record
+  // carries it), and its aggregate, less the journal's own bookkeeping, is
+  // the unjournaled one.
+  const std::string dir = ::testing::TempDir() + "mst_obs_journaled";
+  std::filesystem::remove_all(dir);
+  MetricsRegistry journaled;
+  scenario::RunOptions options;
+  options.threads = 4;
+  options.metrics = &journaled;
+  options.journal_dir = dir;
+  for (const scenario::CellOutcome& out : scenario::run_cells(cells, options)) {
+    EXPECT_TRUE(out.ok()) << out.error;
+    EXPECT_FALSE(out.metrics.empty());
+    EXPECT_TRUE(std::any_of(out.metrics.begin(), out.metrics.end(), [](const MetricSample& m) {
+      return m.name == "scenario.cell.wall_us";
+    }));
+  }
+  MetricsRegistry without_journal;
+  for (const MetricSample& sample : journaled.snapshot(true)) {
+    if (sample.name.rfind("scenario.journal.", 0) != 0) without_journal.absorb(sample);
+  }
+  EXPECT_EQ(without_journal.to_json(), jsons[0]);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

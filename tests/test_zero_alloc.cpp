@@ -102,6 +102,32 @@ TEST(EngineZeroAlloc, InstrumentedEventLoopIsAllocationFree) {
   EXPECT_GE(samples[0].value, 10000);
 }
 
+TEST(MetricsZeroAlloc, WarmResetAndReRegistrationAllocateNothing) {
+  // A journaled sweep worker resets one registry before every cell and
+  // registers the cell's metrics into it again: neither may allocate, and
+  // neither may a merge into a warm target.
+  auto cell = std::make_unique<obs::MetricsRegistry>();
+  auto total = std::make_unique<obs::MetricsRegistry>();
+  const auto record_cell = [&] {
+    cell->reset();
+    cell->counter("api.solve.optimal").increment();
+    cell->gauge("sim.queue.high_water").record(4);
+    cell->histogram("stream.latency").observe(9);
+    cell->counter("scenario.cell.wall_us", obs::DeterminismClass::kWallTime).add(12);
+    cell->merge_into(*total);
+  };
+  record_cell();  // warm: every name is registered in `total`
+
+  alloc_probe::Scope probe;
+  for (int i = 0; i < 16; ++i) record_cell();
+  EXPECT_EQ(probe.count(), 0);
+
+  const std::vector<obs::MetricSample> samples = total->snapshot();
+  ASSERT_EQ(samples.size(), 3u);
+  EXPECT_EQ(samples[0].name, "api.solve.optimal");
+  EXPECT_EQ(samples[0].value, 17);
+}
+
 TEST(EngineZeroAlloc, OversizedCaptureWouldNotCompile) {
   // Compile-time contract documented here: InplaceCallback rejects
   // captures beyond kStorage via static_assert, so nothing silently heap
