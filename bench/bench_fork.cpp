@@ -1,7 +1,8 @@
 // CPLX-FORK: microbenchmarks of the fork (star) scheduler — decision form,
-// makespan binary search, the ascending-c greedy selector and Moore–Hodgson
-// selection.  Timing harness shared with the other bench_* binaries:
-// bench/bench_harness.hpp; the committed baseline is bench/BENCH_fork.json.
+// makespan search (materialized, and count-only on warm scratch), the
+// ascending-c greedy selector and Moore–Hodgson selection.  Timing harness
+// shared with the other bench_* binaries: bench/bench_harness.hpp; the
+// committed baseline is bench/BENCH_fork.json.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +39,14 @@ std::vector<Row> run_all() {
     const mst::Fork fork16 = make_fork(16);
     for (std::size_t n = 16; n <= 1024; n *= 4) {
       rows.push_back({"fork_makespan_form", n, time_op([&] {
-                        keep(mst::ForkScheduler::makespan(fork16, n));
+                        keep(mst::ForkScheduler::schedule(fork16, n).makespan());
+                      })});
+    }
+    // The count-only form sweeps use: the search alone, no schedule.
+    mst::ForkCountScratch scratch;
+    for (std::size_t n = 16; n <= 1024; n *= 4) {
+      rows.push_back({"fork_makespan_count_only", n, time_op([&] {
+                        keep(mst::ForkScheduler::makespan(fork16, n, scratch).horizon);
                       })});
     }
   }

@@ -1,8 +1,8 @@
 // CPLX-SPIDER: microbenchmarks of the spider algorithm (Theorem 2 claims a
-// polynomial bound below O(n²p²)) — decision form, makespan n-sweep and the
-// spider→chains transformation.  Timing harness shared with the other
-// bench_* binaries: bench/bench_harness.hpp; the committed baseline is
-// bench/BENCH_spider.json.
+// polynomial bound below O(n²p²)) — decision form, makespan n-sweep
+// (materialized, and count-only on warm scratch) and the spider→chains
+// transformation.  Timing harness shared with the other bench_* binaries:
+// bench/bench_harness.hpp; the committed baseline is bench/BENCH_spider.json.
 
 #include <cstddef>
 #include <utility>
@@ -42,7 +42,14 @@ std::vector<Row> run_all() {
     const mst::Spider spider6 = make_spider(6, 3);
     for (std::size_t n = 16; n <= 512; n *= 2) {
       rows.push_back({"spider_makespan_tasks", n, time_op([&] {
-                        keep(mst::SpiderScheduler::makespan(spider6, n));
+                        keep(mst::SpiderScheduler::schedule(spider6, n).makespan());
+                      })});
+    }
+    // The count-only form sweeps use: the search alone, no leg schedule.
+    mst::SpiderCountScratch scratch;
+    for (std::size_t n = 16; n <= 512; n *= 2) {
+      rows.push_back({"spider_makespan_count_only", n, time_op([&] {
+                        keep(mst::SpiderScheduler::makespan(spider6, n, scratch).horizon);
                       })});
     }
   }

@@ -464,6 +464,18 @@ SolveResult Registry::solve(const Platform& platform, std::string_view algorithm
   }
   count_dispatch(options.metrics, "api.solve.", algorithm);
   SolveResult result = resolve(*this, platform, algorithm).solve(platform, workload, options);
+  // A makespan outside the domain is an overflowed schedule, not a slow
+  // one: refuse it by name rather than print it as feasible.  The domain is
+  // `[0, kTimeInfinity)` past the last release (0 for identical workloads):
+  // releases may reach just below kTimeInfinity, and a real schedule ends
+  // less than kTimeInfinity after its last task arrives.
+  if (result.makespan < 0 || result.makespan - workload.last_release() >= kTimeInfinity) {
+    std::ostringstream os;
+    os << "algorithm '" << algorithm << "': makespan " << result.makespan
+       << " lies outside the numeric domain [0, last release + kTimeInfinity); refusing an "
+          "overflowed result";
+    throw std::invalid_argument(os.str());
+  }
   result.workload = workload;
   return result;
 }
@@ -661,9 +673,15 @@ Time makespan_lower_bound(const Spider& spider, std::size_t n, OnePortScratch& s
 }
 
 /// The `optimal` entry of a kind solved by the one-port run-selection
-/// driver (fork, spider): the makespan form through `schedule_into`, the
-/// decision form through `makespan_within` (count only) or
-/// `schedule_within_into`.  The positional-release selection commits to
+/// driver (fork, spider): the makespan form through `schedule_into`, or —
+/// identical workloads, `materialize == false` — through the count-only
+/// `makespan` search, whose minimal horizon is the optimal makespan (the
+/// decision form is exact there, and its schedule fits that horizon), so
+/// no schedule is built only to be stripped; the decision form through
+/// `makespan_within` (count only) or `schedule_within_into`.  Released
+/// workloads always materialize: their DP is not exact, so the searched
+/// horizon is not proven to equal the schedule's makespan.  The
+/// positional-release selection commits to
 /// one EDD emission order, which exhaustive search beats on some
 /// instances: a released result is feasible, not proven optimal (or
 /// maximal), and its search probes are not counted.
@@ -679,6 +697,14 @@ struct RunOptimal {
     const P& platform = expect_platform(p, "optimal");
     const bool exact = !w.has_release_dates();
     Work work(opts, scratch, pool);
+    if (exact && !opts.materialize) {
+      const auto [horizon, probes] =
+          Scheduler::makespan(platform, w.count(), count_scratch(work.scratch));
+      count_search_probes(opts.metrics, probes);
+      const Time lb =
+          makespan_lower_bound(platform, w.count(), count_scratch(work.scratch).bound);
+      return make_result("optimal", kind, w.count(), horizon, lb, /*optimal=*/true, {});
+    }
     const std::size_t probes = Scheduler::schedule_into(platform, w, work.scratch, work.pool);
     if (exact) count_search_probes(opts.metrics, probes);
     const Time lb = makespan_lower_bound(platform, w.count(), count_scratch(work.scratch).bound);

@@ -6,6 +6,24 @@
 
 namespace mst {
 
+namespace {
+
+/// `from + size · latency`: when a task of `size` units occupying a link or
+/// processor of per-unit `latency` from `from` releases it.  Refused by
+/// name when it overflows int64 — the platform or workload lies outside the
+/// numeric domain, and a wrapped time would print as a schedule.
+Time after(Time from, Time size, Time latency) {
+  Time span = 0;
+  Time out = 0;
+  const bool overflow =
+      __builtin_mul_overflow(size, latency, &span) || __builtin_add_overflow(from, span, &out);
+  MST_REQUIRE(!overflow, "ASAP timing: a schedule time overflows int64 (the platform or "
+                         "workload lies outside the numeric domain)");
+  return out;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Chain
 // ---------------------------------------------------------------------------
@@ -17,11 +35,11 @@ Time ChainAsapState::peek_completion(std::size_t dest, Time size, Time release) 
   MST_REQUIRE(dest < chain_.size(), "destination outside the chain");
   Time emission = std::max(link_free_[0], release);
   for (std::size_t k = 1; k <= dest; ++k) {
-    emission = std::max(emission + size * chain_.comm(k - 1), link_free_[k]);
+    emission = std::max(after(emission, size, chain_.comm(k - 1)), link_free_[k]);
   }
-  const Time arrival = emission + size * chain_.comm(dest);
+  const Time arrival = after(emission, size, chain_.comm(dest));
   const Time start = std::max(arrival, proc_free_[dest]);
-  return start + size * chain_.work(dest);
+  return after(start, size, chain_.work(dest));
 }
 
 ChainTask ChainAsapState::commit(std::size_t dest, Time size, Time release) {
@@ -32,15 +50,15 @@ ChainTask ChainAsapState::commit(std::size_t dest, Time size, Time release) {
   Time emission = std::max(link_free_[0], release);
   task.emissions[0] = emission;
   for (std::size_t k = 1; k <= dest; ++k) {
-    emission = std::max(emission + size * chain_.comm(k - 1), link_free_[k]);
+    emission = std::max(after(emission, size, chain_.comm(k - 1)), link_free_[k]);
     task.emissions[k] = emission;
   }
   for (std::size_t k = 0; k <= dest; ++k) {
-    link_free_[k] = task.emissions[k] + size * chain_.comm(k);
+    link_free_[k] = after(task.emissions[k], size, chain_.comm(k));
   }
-  const Time arrival = task.emissions[dest] + size * chain_.comm(dest);
+  const Time arrival = after(task.emissions[dest], size, chain_.comm(dest));
   task.start = std::max(arrival, proc_free_[dest]);
-  proc_free_[dest] = task.start + size * chain_.work(dest);
+  proc_free_[dest] = after(task.start, size, chain_.work(dest));
   return task;
 }
 
@@ -91,7 +109,7 @@ std::vector<Time> SpiderAsapState::emissions_for(const SpiderDest& dest, Time si
   Time emission = std::max({port_free_, link_free_[dest.leg][0], release});
   emissions[0] = emission;
   for (std::size_t k = 1; k <= dest.proc; ++k) {
-    emission = std::max(emission + size * leg.comm(k - 1), link_free_[dest.leg][k]);
+    emission = std::max(after(emission, size, leg.comm(k - 1)), link_free_[dest.leg][k]);
     emissions[k] = emission;
   }
   return emissions;
@@ -100,9 +118,9 @@ std::vector<Time> SpiderAsapState::emissions_for(const SpiderDest& dest, Time si
 Time SpiderAsapState::peek_completion(const SpiderDest& dest, Time size, Time release) const {
   const std::vector<Time> emissions = emissions_for(dest, size, release);
   const Chain& leg = spider_.leg(dest.leg);
-  const Time arrival = emissions.back() + size * leg.comm(dest.proc);
+  const Time arrival = after(emissions.back(), size, leg.comm(dest.proc));
   const Time start = std::max(arrival, proc_free_[dest.leg][dest.proc]);
-  return start + size * leg.work(dest.proc);
+  return after(start, size, leg.work(dest.proc));
 }
 
 SpiderTask SpiderAsapState::commit(const SpiderDest& dest, Time size, Time release) {
@@ -111,13 +129,13 @@ SpiderTask SpiderAsapState::commit(const SpiderDest& dest, Time size, Time relea
   SpiderTask task;
   task.leg = dest.leg;
   task.proc = dest.proc;
-  port_free_ = emissions[0] + size * leg.comm(0);
+  port_free_ = after(emissions[0], size, leg.comm(0));
   for (std::size_t k = 0; k <= dest.proc; ++k) {
-    link_free_[dest.leg][k] = emissions[k] + size * leg.comm(k);
+    link_free_[dest.leg][k] = after(emissions[k], size, leg.comm(k));
   }
-  const Time arrival = emissions.back() + size * leg.comm(dest.proc);
+  const Time arrival = after(emissions.back(), size, leg.comm(dest.proc));
   task.start = std::max(arrival, proc_free_[dest.leg][dest.proc]);
-  proc_free_[dest.leg][dest.proc] = task.start + size * leg.work(dest.proc);
+  proc_free_[dest.leg][dest.proc] = after(task.start, size, leg.work(dest.proc));
   task.emissions = std::move(emissions);
   return task;
 }

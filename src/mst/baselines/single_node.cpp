@@ -1,5 +1,8 @@
 #include "mst/baselines/single_node.hpp"
 
+#include <exception>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -11,22 +14,25 @@ namespace mst {
 namespace {
 
 /// The smallest-makespan schedule among `candidate(i)`, `i < count`, ties
-/// to the lowest index.  Seeded with the first candidate, never with a
-/// sentinel: whatever its makespan, the result is a real schedule of the
-/// whole workload.
+/// to the lowest index.  Seeded with the first candidate that has a
+/// schedule, never with a sentinel: whatever its makespan, the result is a
+/// real schedule of the whole workload.  A candidate the ASAP timing
+/// refuses — its pipeline leaves the numeric domain — is no pipeline and
+/// is skipped; when every candidate is refused, the first refusal stands.
 template <typename Candidate>
 auto best_of(std::size_t count, Candidate&& candidate) {
-  auto best = candidate(0);
-  Time best_makespan = best.makespan();
-  for (std::size_t i = 1; i < count; ++i) {
-    auto next = candidate(i);
-    const Time makespan = next.makespan();
-    if (makespan < best_makespan) {
-      best_makespan = makespan;
-      best = std::move(next);
+  std::optional<decltype(candidate(0))> best;
+  std::exception_ptr refusal;
+  for (std::size_t i = 0; i < count; ++i) {
+    try {
+      auto next = candidate(i);
+      if (!best || next.makespan() < best->makespan()) best = std::move(next);
+    } catch (const std::invalid_argument&) {
+      if (refusal == nullptr) refusal = std::current_exception();
     }
   }
-  return best;
+  if (!best) std::rethrow_exception(refusal);
+  return std::move(*best);
 }
 
 }  // namespace

@@ -51,17 +51,18 @@ struct ForkRuns {
   Time lower_bound(std::size_t n) const {
     return fork_makespan_lower_bound(fork, n, scratch.bound);
   }
-  void count_runs(Time t_lim, std::size_t cap) const { runs(t_lim, cap); }
-  void runs(Time t_lim, std::size_t cap) const {
+  void count_runs(Time t_lim, std::size_t cap) const { runs(t_lim, cap, nullptr); }
+  void runs(Time t_lim, std::size_t cap, const std::vector<std::size_t>* run_caps) const {
     scratch.deadlines.clear();
     scratch.runs.clear();
     for (std::size_t i = 0; i < fork.size(); ++i) {
       const Processor& slave = fork.slave(i);
       const Time m = fork.cadence(i);
+      const std::size_t slave_cap = run_caps != nullptr ? std::min(cap, (*run_caps)[i]) : cap;
       std::size_t k = 0;
       if (slave.comm <= t_lim && slave.work <= t_lim - slave.comm) {
         const Time slack = t_lim - slave.comm - slave.work;  // room for q·m
-        k = std::min(cap, static_cast<std::size_t>(slack / m) + 1);
+        k = std::min(slave_cap, static_cast<std::size_t>(slack / m) + 1);
       }
       const std::size_t begin = scratch.deadlines.size();
       for (std::size_t q = k; q-- > 0;) {
@@ -149,6 +150,12 @@ std::size_t ForkScheduler::schedule_into(const Fork& fork, std::size_t n,
   return schedule_into(fork, Workload::identical(n), scratch, out);
 }
 
+run_select::SearchResult ForkScheduler::makespan(const Fork& fork, std::size_t n,
+                                                 ForkCountScratch& scratch) {
+  ForkRuns kind{fork, scratch};
+  return run_select::search(kind, n, scratch);
+}
+
 std::size_t ForkScheduler::schedule_into(const Fork& fork, const Workload& workload,
                                          ForkCountScratch& scratch, ForkSchedule& out) {
   ForkRuns kind{fork, scratch};
@@ -187,7 +194,8 @@ ForkSchedule ForkScheduler::schedule(const Fork& fork, std::size_t n) {
 }
 
 Time ForkScheduler::makespan(const Fork& fork, std::size_t n) {
-  return schedule(fork, n).makespan();
+  ForkCountScratch scratch;
+  return makespan(fork, n, scratch).horizon;
 }
 
 namespace {
@@ -238,7 +246,7 @@ ForkSchedule ForkScheduler::greedy_schedule_within(const Fork& fork, Time t_lim,
                                                    std::size_t cap) {
   MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
   return on_fresh_scratch<ForkCountScratch, ForkSchedule>([&](auto& scratch, auto& out) {
-    ForkRuns{fork, scratch}.runs(t_lim, cap);
+    ForkRuns{fork, scratch}.runs(t_lim, cap, nullptr);
     scratch.counts = greedy_counts(fork, t_lim, cap);
     run_select::sequence(scratch, into(fork, scratch, out));
   });

@@ -22,7 +22,13 @@
 /// driver (`run_select_driver.hpp`), which owns the selection, cap trim,
 /// sequencing, released replay and makespan searches it shares with the
 /// spider; this file adds the run builder, the search ceiling and the
-/// Fig 6 realization — executions queue FIFO per slave.  The selection is
+/// Fig 6 realization — executions queue FIFO per slave.  A slave's run at
+/// `t − Δ` is its run at `t` shifted by `−Δ`, less the nodes that no longer
+/// fit, so the makespan search merges the runs about once, ahead of its
+/// probes, and answers the others with linear passes over that merge; the
+/// count-only makespan form stops after the search (its minimal horizon is
+/// the optimal makespan), the materializing one then builds each slave's
+/// kept nodes only.  The selection is
 /// normalized per slave to the smallest-exec prefix (pure deadline
 /// relaxation, count preserved), which makes it realizable as an actual
 /// schedule.  The paper's original ascending-`c` greedy is kept as
@@ -53,7 +59,7 @@ class ForkScheduler {
   /// Allocation-free counting (the driver's count policy), leaving the
   /// per-slave counts in `scratch.counts`.  Returns
   /// exactly `schedule_within(fork, t_lim, cap).tasks.size()`.  The makespan
-  /// form's horizon search runs on this.
+  /// search's probes are this selection as linear passes over one merge.
   static std::size_t count_within(const Fork& fork, Time t_lim, std::size_t cap,
                                   ForkCountScratch& scratch);
 
@@ -90,12 +96,20 @@ class ForkScheduler {
   static ForkSchedule schedule(const Fork& fork, const Workload& workload);
 
   /// Makespan form: optimal schedule of exactly `n` tasks at the minimal
-  /// horizon of the monotone decision form — the driver's identical search,
-  /// seeded with `fork_makespan_lower_bound`.
+  /// horizon of the monotone decision form — the driver's identical search
+  /// (merge-ahead, linear passes), seeded with `fork_makespan_lower_bound`.
   static ForkSchedule schedule(const Fork& fork, std::size_t n);
 
-  /// Optimal makespan of `n` tasks.
+  /// Optimal makespan of `n` tasks (`makespan` below on a fresh scratch).
   static Time makespan(const Fork& fork, std::size_t n);
+
+  /// Count-only makespan form: the driver's identical search alone — the
+  /// minimal feasible horizon, which is the optimal makespan of `n` tasks,
+  /// and the probes it took (exactly `schedule_into`'s) — with no schedule
+  /// built.  Merges the runs about once and answers the other probes with
+  /// linear passes; allocation-free on warm scratch.
+  static run_select::SearchResult makespan(const Fork& fork, std::size_t n,
+                                           ForkCountScratch& scratch);
 
   /// The paper's §6 greedy (Beaumont et al. [2]): sort slaves by ascending
   /// communication time (ties by processing time), then fill each slave with

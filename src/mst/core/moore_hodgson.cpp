@@ -60,15 +60,31 @@ std::vector<std::size_t> moore_hodgson(std::vector<DeadlineJob> jobs) {
 // mstlint: zero-alloc
 namespace {
 
-/// The merge both run kernels share: ranks the runs by (proc, run index)
-/// into `scratch.order`/`scratch.lanes` (each lane's `taken` zeroed) and
-/// calls `visit(deadline, rank, lanes)` once per job, in (deadline, rank) order,
-/// from a p-entry min-heap maintained by hand so that advancing a run is
-/// one sift of the top entry rather than a pop and a push.
-template <typename Visit>
-void merge_runs(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
-                RunSelectScratch& scratch, Visit&& visit) {
-  using Entry = std::pair<Time, std::size_t>;  // (deadline, rank)
+using Entry = std::pair<Time, std::size_t>;  // (deadline, rank)
+
+/// Merges the (deadline, rank)-sorted blocks `in[lo, mid)` and
+/// `in[mid, hi)` into `out[lo, hi)`, the select written without a branch
+/// on the comparison.
+void merge_blocks(const Entry* in, std::size_t lo, std::size_t mid, std::size_t hi,
+                  Entry* out) {
+  std::size_t i = lo;
+  std::size_t j = mid;
+  std::size_t o = lo;
+  while (i < mid && j < hi) {
+    const bool right = in[j] < in[i];
+    out[o++] = right ? in[j] : in[i];
+    j += static_cast<std::size_t>(right);
+    i += static_cast<std::size_t>(!right);
+  }
+  std::copy(in + i, in + mid, out + o);
+  std::copy(in + j, in + hi, out + o + (mid - i));
+}
+
+}  // namespace
+
+void record_run_merge(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
+                      RunSelectScratch& scratch) {
+  // Rank the runs by (proc, run index).
   const std::size_t p = runs.size();
   std::vector<std::size_t>& order = scratch.order;
   order.resize(p);
@@ -78,54 +94,53 @@ void merge_runs(const std::vector<JobRun>& runs, const std::vector<Time>& deadli
     return a < b;
   });
   scratch.lanes.resize(p);
-  RunSelectScratch::Lane* const lanes = scratch.lanes.data();
-  std::vector<Entry>& heap = scratch.heap;
-  heap.clear();
+
+  // Lay the runs out rank by rank, one sorted block each, then merge
+  // adjacent blocks pairwise — log2 p rounds of linear merges, ping-ponging
+  // with `spare` — until one block is left.
+  std::vector<Entry>& merged = scratch.recorded;
+  std::vector<std::size_t>& blocks = scratch.blocks;  // block k: [blocks[k], blocks[k + 1])
+  blocks.resize(p + 1);
+  blocks[0] = 0;
   for (std::size_t r = 0; r < p; ++r) {
     const JobRun& run = runs[order[r]];
     MST_ASSERT(run.begin <= run.end && run.end <= deadlines.size());
-    lanes[r] = {run.proc, run.begin, run.end, 0};
-    if (run.begin < run.end) heap.emplace_back(deadlines[run.begin], r);
+    blocks[r + 1] = blocks[r] + (run.end - run.begin);
   }
-  const auto later = [](const Entry& a, const Entry& b) { return b < a; };
-  std::make_heap(heap.begin(), heap.end(), later);
-  const auto sift_top = [&] {
-    const std::size_t size = heap.size();
-    const Entry moving = heap[0];
-    std::size_t hole = 0;
-    for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
-      if (child + 1 < size && heap[child + 1] < heap[child]) ++child;
-      if (!(heap[child] < moving)) break;
-      heap[hole] = heap[child];
-      hole = child;
+  merged.resize(blocks[p]);
+  scratch.spare.resize(blocks[p]);
+  for (std::size_t r = 0; r < p; ++r) {
+    const JobRun& run = runs[order[r]];
+    scratch.lanes[r] = {run.proc, 0};
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      merged[blocks[r] + (i - run.begin)] = {deadlines[i], r};
     }
-    heap[hole] = moving;
-  };
-  while (!heap.empty()) {
-    const auto [deadline, r] = heap[0];
-    RunSelectScratch::Lane& lane = lanes[r];
-    if (++lane.next < lane.end) {
-      heap[0].first = deadlines[lane.next];
-    } else {
-      heap[0] = heap.back();
-      heap.pop_back();
+  }
+  while (blocks.size() > 2) {
+    std::size_t kept = 1;  // blocks[kept] is written only after it was read
+    for (std::size_t k = 0; k + 1 < blocks.size(); k += 2) {
+      const std::size_t end = k + 2 < blocks.size() ? blocks[k + 2] : blocks[k + 1];
+      merge_blocks(merged.data(), blocks[k], blocks[k + 1], end, scratch.spare.data());
+      blocks[kept++] = end;
     }
-    if (!heap.empty()) sift_top();
-    visit(deadline, r, lanes);
+    blocks.resize(kept);
+    merged.swap(scratch.spare);
   }
 }
 
-}  // namespace
-
-std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
-                               RunSelectScratch& scratch, std::vector<std::size_t>& counts) {
-  Time total = 0;         // processing time of the selected jobs
+std::size_t moore_hodgson_pass(Time shift, RunSelectScratch& scratch,
+                               std::vector<std::size_t>& counts) {
+  MST_ASSERT(shift <= 0);
+  RunSelectScratch::Lane* const lanes = scratch.lanes.data();
+  for (RunSelectScratch::Lane& lane : scratch.lanes) lane.taken = 0;
+  Time total = 0;            // processing time of the selected jobs
   std::size_t selected = 0;
-  std::size_t top = 0;    // highest rank with a selected job, once selected > 0
-  merge_runs(runs, deadlines, scratch,
-             [&](Time deadline, std::size_t r, RunSelectScratch::Lane* lanes) {
+  std::size_t top = 0;       // highest rank with a selected job, once selected > 0
+  for (const auto& [deadline, r] : scratch.recorded) {
     RunSelectScratch::Lane& lane = lanes[r];
-    if (total + lane.proc <= deadline) {
+    const Time shifted = deadline + shift;
+    if (shifted < lane.proc) continue;  // no such job at the shifted horizon
+    if (total + lane.proc <= shifted) {
       ++lane.taken;
       total += lane.proc;
       if (selected++ == 0 || r > top) top = r;
@@ -137,12 +152,17 @@ std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vecto
       --lanes[top].taken;
       while (lanes[top].taken == 0) --top;
     }
-  });
-
-  const std::size_t p = runs.size();
+  }
+  const std::size_t p = scratch.lanes.size();
   counts.assign(p, 0);
-  for (std::size_t r = 0; r < p; ++r) counts[scratch.order[r]] = scratch.lanes[r].taken;
+  for (std::size_t r = 0; r < p; ++r) counts[scratch.order[r]] = lanes[r].taken;
   return selected;
+}
+
+std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
+                               RunSelectScratch& scratch, std::vector<std::size_t>& counts) {
+  record_run_merge(runs, deadlines, scratch);
+  return moore_hodgson_pass(0, scratch, counts);
 }
 
 std::size_t moore_hodgson_released_runs(const std::vector<JobRun>& runs,
@@ -161,19 +181,13 @@ std::size_t moore_hodgson_released_runs(const std::vector<JobRun>& runs,
   dp.resize(limit + 1);
   dp[0] = 0;
   std::size_t best = 0;
-  if (picked != nullptr) {
-    scratch.merged.clear();
-    scratch.took.clear();
-  }
-  merge_runs(runs, deadlines, scratch,
-             [&](Time deadline, std::size_t r, const RunSelectScratch::Lane* lanes) {
-    const Time proc = lanes[r].proc;
-    std::uint8_t* row = nullptr;
-    if (picked != nullptr) {
-      scratch.merged.push_back(scratch.order[r]);
-      scratch.took.resize(scratch.took.size() + limit);
-      row = scratch.took.data() + scratch.took.size() - limit;
-    }
+  record_run_merge(runs, deadlines, scratch);
+  const std::vector<Entry>& merged = scratch.recorded;
+  if (picked != nullptr) scratch.took.assign(merged.size() * limit, 0);
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    const auto [deadline, r] = merged[i];
+    const Time proc = scratch.lanes[r].proc;
+    std::uint8_t* const row = picked != nullptr ? scratch.took.data() + i * limit : nullptr;
     for (std::size_t j = std::min(best + 1, limit); j >= 1; --j) {
       const Time start = std::max(dp[j - 1], releases[j - 1]);
       if (start > deadline - proc) continue;  // finishes after the deadline
@@ -183,13 +197,13 @@ std::size_t moore_hodgson_released_runs(const std::vector<JobRun>& runs,
       if (row != nullptr) row[j - 1] = 1;
       if (j > best) best = j;
     }
-  });
+  }
   if (picked != nullptr) {
     picked->resize(best);
     std::size_t j = best;
-    for (std::size_t i = scratch.merged.size(); i >= 1 && j >= 1; --i) {
+    for (std::size_t i = merged.size(); i >= 1 && j >= 1; --i) {
       if (scratch.took[(i - 1) * limit + (j - 1)] == 0) continue;
-      (*picked)[j - 1] = scratch.merged[i - 1];
+      (*picked)[j - 1] = scratch.order[merged[i - 1].second];
       --j;
     }
     MST_ASSERT(j == 0);

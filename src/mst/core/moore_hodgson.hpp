@@ -17,10 +17,14 @@
 /// fork and spider node sets have more structure — one run per slave or
 /// leg, each run sharing one processing time with deadlines already in
 /// order — and `moore_hodgson_runs` exploits it: the same selection in
-/// `O(N log p)` for p runs, with no sort and no eviction heap.  Release
-/// dates turn the step into a DP on the same runs and merge,
-/// `moore_hodgson_released_runs`.  The generic `DeadlineJob` forms are the
-/// kernels' test oracles.
+/// `O(N log p)` for p runs, with no sort and no eviction heap, as one merge
+/// of the runs (`record_run_merge`) and one linear pass over it
+/// (`moore_hodgson_pass`).  The pass takes a shift: a search that selects
+/// at many horizons merges once and answers every horizon at or below the
+/// merged one with a pass alone, on the same eviction rule.  Release dates
+/// turn the step into a DP over the same merge,
+/// `moore_hodgson_released_runs`.  The generic `DeadlineJob`
+/// forms are the kernels' test oracles.
 ///
 /// The paper cites the ascending-`c` greedy of Beaumont et al. [2] for this
 /// step; we implement both (see `fork_scheduler.hpp` for the greedy) and use
@@ -54,43 +58,69 @@ struct JobRun {
   std::size_t end = 0;
 };
 
-/// Merge and selection state of the run kernels, reused across passes: O(p)
-/// for p runs, plus the released DP row and select table.
+/// Merge and selection state of the run kernels, reused across passes: the
+/// recorded merge (two buffers of N entries for N jobs), O(p) for p runs,
+/// plus the released DP row and select table.
 struct RunSelectScratch {
   /// One run as the kernel sees it, indexed by rank.
   struct Lane {
     Time proc = 0;
-    std::size_t next = 0;   ///< next unmerged deadline of the run
-    std::size_t end = 0;
     std::size_t taken = 0;  ///< selected jobs of the run
   };
-  std::vector<std::size_t> order;                  ///< rank → run index
-  std::vector<Lane> lanes;                         ///< per rank
-  std::vector<std::pair<Time, std::size_t>> heap;  ///< (deadline, rank) merge front
+  std::vector<std::size_t> order;  ///< rank → run index
+  std::vector<Lane> lanes;         ///< per rank
+  /// `record_run_merge`: every job as (deadline, rank), in merge order.
+  std::vector<std::pair<Time, std::size_t>> recorded;
+  std::vector<std::pair<Time, std::size_t>> spare;  ///< the merge's other buffer
+  std::vector<std::size_t> blocks;   ///< the merge's sorted block bounds
   std::vector<Time> dp;              ///< released: min completion per selected count
-  std::vector<std::size_t> merged;   ///< released select: run of each job, merge order
   std::vector<std::uint8_t> took;    ///< released select: (job, count) improvements
 };
+
+/// Records the (deadline, rank) merge of `runs` into `scratch.recorded`,
+/// with the ranking — by (proc, run index) — in `scratch.order` and
+/// `scratch.lanes`.  The runs are laid out rank by rank, then adjacent
+/// sorted blocks are merged pairwise: log2 p rounds of branch-free linear
+/// merges, O(N log p) for N jobs.  The record stays valid until the next
+/// kernel call on `scratch`.  Allocation-free once `scratch` is warm.
+void record_run_merge(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
+                      RunSelectScratch& scratch);
+
+/// Linear pass over the recorded merge: the Moore–Hodgson selection on the
+/// recorded runs with every deadline shifted by `shift <= 0`, as per-run
+/// counts (`counts[i]` for `runs[i]`; reassigned) plus their total
+/// (returned).  A job whose shifted deadline lies below its proc is
+/// skipped: it does not exist at the shifted horizon (and the generic rule
+/// would select and evict it again at once — see `moore_hodgson_runs`).  A
+/// uniform shift keeps the (deadline, rank) order, so the pass equals
+/// `moore_hodgson_runs` on the shifted runs without the skipped jobs.
+/// O(N) with no heap; allocation-free once `scratch` and `counts` are warm.
+std::size_t moore_hodgson_pass(Time shift, RunSelectScratch& scratch,
+                               std::vector<std::size_t>& counts);
 
 /// Moore–Hodgson over runs: the selection `moore_hodgson` makes on the
 /// concatenated runs with run-major ids, reported as per-run counts
 /// (`counts[i]` for `runs[i]`; reassigned) plus their total (returned).
+/// It is `record_run_merge` and one `moore_hodgson_pass` at shift 0.
 ///
 /// The runs are ranked by (proc, run index).  Because ids are run-major,
 /// the generic EDD key (deadline, proc, id) orders jobs of different runs
 /// exactly as (deadline, rank) does, and the job the generic rule evicts —
 /// the max (proc, id) — always lies in the highest-ranked run with a
 /// selected job.  Which job of a run is selected never matters, since all
-/// of them take the same time; so the kernel merges the runs with a p-entry
-/// min-heap on (deadline, rank) instead of sorting, and keeps the selection
-/// as one count per rank with a pointer at the highest non-empty rank
-/// instead of an eviction heap.  A job that does not fit and ranks at or
-/// above that pointer is the one the generic rule would evict, so it is
-/// rejected without touching the counts.
+/// of them take the same time; so the kernel merges the runs on
+/// (deadline, rank) instead of sorting, and keeps the selection as one
+/// count per rank with a pointer at the highest non-empty rank instead of
+/// an eviction heap.  A job that does not fit and ranks at or above that
+/// pointer is the one the generic rule would evict, so it is rejected
+/// without touching the counts.  A job whose deadline lies below its proc
+/// is skipped: the generic rule evicts it right after taking it, since
+/// every selected job it could displace — ranking higher, so taking at
+/// least its proc — met an earlier deadline.
 ///
-/// Cost: O(N log p) for N jobs — one heap sift per job — plus the pointer's
-/// downward moves, which never exceed its upward jumps (at most p each);
-/// O(p) scratch.  Allocation-free once `scratch` and `counts` are warm.
+/// Cost: O(N log p) for N jobs — the merge — plus the pass, whose pointer
+/// moves down no more often than it jumps up (at most once per job).
+/// Allocation-free once `scratch` and `counts` are warm.
 std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vector<Time>& deadlines,
                                RunSelectScratch& scratch, std::vector<std::size_t>& counts);
 
@@ -103,10 +133,11 @@ std::size_t moore_hodgson_runs(const std::vector<JobRun>& runs, const std::vecto
 /// exactly by the O(N·K) DP over the EDD order (`dp[j]` = minimal
 /// completion of a feasible j-job selection of the processed prefix);
 /// Moore–Hodgson's eviction rule does not extend to position-dependent
-/// machine availability.  The runs are merged as in `moore_hodgson_runs`,
-/// which visits the jobs in the generic EDD order (deadline, proc, id) on
-/// run-major ids (jobs of one run tying on the deadline are
-/// interchangeable), so the DP takes the generic decisions one by one.
+/// machine availability.  The DP walks the recorded merge
+/// (`record_run_merge`), which visits the jobs in the generic EDD order
+/// (deadline, proc, id) on run-major ids (jobs of one run tying on the
+/// deadline are interchangeable), so it takes the generic decisions one by
+/// one.
 /// Reachability is the largest count reached so far, never a sentinel
 /// time: any int64 time is a valid completion.
 ///

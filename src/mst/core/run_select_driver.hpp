@@ -27,9 +27,27 @@
 ///  * the decision pass, with three policies: count (the kernel's count
 ///    only), materialize (select, trim to the cap, EDD sequencing) and
 ///    released (the positional-release select, replayed);
-///  * the makespan searches: identical (`min_feasible_horizon` from the
-///    lower bound, reusing the smallest feasible probe's counts) and
-///    released (`min_released_horizon`).
+///  * the makespan searches: identical (`search`: `min_feasible_horizon`
+///    from the lower bound over merged-ahead linear passes, reusing the
+///    smallest feasible probe's counts) and released
+///    (`min_released_horizon`);
+///  * the count-only makespan form (`search` alone: the minimal horizon is
+///    the optimal makespan, no schedule built) and the materializing one
+///    (`solve`: `search`, then the kept suffixes built and sequenced).
+///
+/// Merge-ahead.  Both kinds are translation-invariant: a fork run at `t` is
+/// `t − w − q·m`, and a spider leg's capped emissions at `t + Δ` are its
+/// emissions at `t` shifted by `Δ` (the chain builds its tasks backwards
+/// from the horizon, so the latest `cap` tasks are the same nodes).  The
+/// runs at a horizon `t <= M` are therefore the runs at `M` shifted by
+/// `t − M`, minus the nodes whose shifted deadline falls below their proc
+/// (those are exactly the ones that do not fit at `t`), and the
+/// (deadline, rank) order is the same at every horizon.  So the identical
+/// search builds and merges the runs once, at a horizon `M` ahead of the
+/// probe that needs it (`merge_horizon`), and answers every probe at or
+/// below `M` with one linear pass (`moore_hodgson_pass`) at `Δ = t − M`:
+/// no run builder, no merge.  A probe above `M` merges again, further ahead.
+/// The probe sequence — and so every answer — is unchanged.
 ///
 /// A kind policy `K` provides
 ///
@@ -39,9 +57,12 @@
 ///     void K::count_runs(Time t, std::size_t cap)
 ///                                         the runs at `t`, at most `cap`
 ///                                         nodes each, into the scratch
-///     void K::runs(Time t, std::size_t cap)
+///     void K::runs(Time t, std::size_t cap, const std::vector<std::size_t>* run_caps)
 ///                                         the same runs, built so that the
-///                                         emitter can write their nodes
+///                                         emitter can write their nodes;
+///                                         run `r` keeps at most
+///                                         `(*run_caps)[r]` nodes — its
+///                                         latest — when `run_caps` is set
 ///
 /// and every materializing pass calls an emitter
 /// `emit(run, node, emission)` once per selected node in emission order:
@@ -57,11 +78,14 @@ namespace mst {
 struct RunDriverScratch {
   std::vector<Time> deadlines;       ///< every run's node deadlines, run by run, ascending
   std::vector<JobRun> runs;          ///< one run per slave or leg
-  RunSelectScratch select;           ///< the run kernels' merge/bucket state
+  RunSelectScratch select;           ///< the run kernels' recorded merge and lanes
   std::vector<std::size_t> counts;   ///< selected nodes per run
   std::vector<std::size_t> kept;     ///< counts of the search's smallest feasible probe
+  Time kept_at = -1;                 ///< the horizon of `kept`; -1 for none (last search)
+  Time merged_at = -1;               ///< the horizon of the recorded merge; -1 for none (last search)
   std::vector<std::size_t> picked;   ///< released selection: run of each position
-  std::size_t selections = 0;        ///< selection-kernel passes made on this scratch
+  std::size_t selections = 0;        ///< selection passes (merging or linear) made on this scratch
+  std::size_t merges = 0;            ///< run merges (O(N log p) each) made on this scratch
   /// EDD sequencing: (deadline, run, node index into `deadlines`).
   std::vector<std::tuple<Time, std::size_t, std::size_t>> seq;
   OnePortScratch bound;              ///< makespan lower bound seeding the search
@@ -88,11 +112,41 @@ inline void require_window(const Workload& workload, Time t_lim) {
   MST_REQUIRE(t_lim >= 0, "time limit must be non-negative");
 }
 
-/// One identical selection pass over the runs in `s`: per-run counts into
-/// `s.counts`, their total returned.
+/// One identical selection over the runs in `s` — a merge and a pass:
+/// per-run counts into `s.counts`, their total returned.
 inline std::size_t select(RunDriverScratch& s) {
   ++s.selections;
+  ++s.merges;
   return moore_hodgson_runs(s.runs, s.deadlines, s.select, s.counts);
+}
+
+/// Records the merge of the runs in `s`, built at horizon `t`.
+inline void record_merge(Time t, RunDriverScratch& s) {
+  ++s.merges;
+  record_run_merge(s.runs, s.deadlines, s.select);
+  s.merged_at = t;
+}
+
+/// `select` at a horizon `t <= s.merged_at`, as one linear pass over the
+/// recorded merge.
+inline std::size_t select_merged(Time t, RunDriverScratch& s) {
+  MST_ASSERT(s.merged_at >= 0 && t <= s.merged_at);
+  ++s.selections;
+  return moore_hodgson_pass(t - s.merged_at, s.select, s.counts);
+}
+
+/// Where the identical search merges when probe `t` lies above the recorded
+/// merge: ahead of `t` by twice its distance from the search's first probe
+/// `start`, plus one and a 1/64 margin of `start`, never past the ceiling.
+/// The gallop's next probe (`t + (t − start) + 1`) then needs no merge of
+/// its own, and the certify and bisect probes all lie below a merge
+/// already made: on the benchmark's star sweep this merges once per solve.
+/// The rule is deterministic and only decides how far ahead a merge looks;
+/// it never changes a probe or an answer.
+inline Time merge_horizon(Time t, Time start, Time ceiling) {
+  const Time behind = std::max<Time>(t - start, 0);
+  const Time ahead = 2 * behind + 1 + start / 64;  // < 3·kTimeInfinity: no overflow
+  return t + std::min(ahead, ceiling - t);
 }
 
 /// Global cap: the selection sees `cap` nodes per run, so its total can
@@ -189,7 +243,7 @@ std::size_t decide(Kind& kind, Time t_lim, const Workload& workload, std::size_t
                    RunDriverScratch& s, Emit&& emit) {
   require_window(workload, t_lim);
   const std::size_t k_cap = std::min(cap, workload.count());
-  kind.runs(t_lim, k_cap);
+  kind.runs(t_lim, k_cap, nullptr);
   if (workload.has_release_dates()) {
     ++s.selections;
     const std::size_t selected = moore_hodgson_released_runs(
@@ -203,23 +257,64 @@ std::size_t decide(Kind& kind, Time t_lim, const Workload& workload, std::size_t
   return selected;
 }
 
+/// What a makespan search found.
+struct SearchResult {
+  Time horizon = 0;        ///< the minimal feasible horizon: the optimal makespan
+  std::size_t probes = 0;  ///< count probes made — a deterministic work count
+};
+
+/// The identical makespan search: the minimal horizon at which the
+/// decision form fits all `n` tasks, from `kind.lower_bound(n)` up to
+/// `kind.ceiling(n)` (`min_feasible_horizon`).  Every probe is one
+/// selection: a linear pass over a merge recorded at or above it, the
+/// merge made first — at `merge_horizon` — when the probe lies above the
+/// last one.  Every feasible probe lies below the previous ones, so the
+/// counts kept from each (`s.kept`, at `s.kept_at`) are the selection at
+/// the returned horizon, unless the search returned its unprobed ceiling
+/// (`s.kept_at != horizon`).  The decision form is exact on identical
+/// workloads and its schedule fits the minimal horizon, so the horizon is
+/// the optimal makespan: a caller that needs no schedule stops here.
+template <typename Kind>
+SearchResult search(Kind& kind, std::size_t n, RunDriverScratch& s) {
+  MST_REQUIRE(n >= 1, "schedule needs at least one task");
+  // The ceiling goes first: it refuses an out-of-domain `n` before the
+  // bound's arithmetic could overflow.
+  const Time ceiling = kind.ceiling(n);
+  const Time start = std::clamp<Time>(kind.lower_bound(n), 0, ceiling);
+  s.kept_at = -1;
+  s.merged_at = -1;
+  SearchResult found;
+  found.horizon = min_feasible_horizon(start, ceiling, [&](Time t) {
+    ++found.probes;
+    if (t > s.merged_at) {
+      const Time merge_at = merge_horizon(t, start, ceiling);
+      kind.count_runs(merge_at, n);
+      record_merge(merge_at, s);
+    }
+    if (select_merged(t, s) < n) return false;
+    std::swap(s.counts, s.kept);
+    s.kept_at = t;
+    return true;
+  });
+  return found;
+}
+
 /// Makespan form: emits an optimal schedule of the whole workload at the
 /// minimal horizon of the monotone decision form and returns the number of
 /// count probes the search made — a deterministic work count.
 ///
-/// Identical workloads search from `kind.lower_bound(n)` up to
-/// `kind.ceiling(n)`.  Every feasible probe lies below the previous ones,
-/// and the search returns the last of them unless it returns the unprobed
-/// ceiling, so the counts kept from each feasible probe are the returned
-/// horizon's selection: the runs are rebuilt at the horizon and no
-/// selection pass runs after the search.  Released workloads search with
+/// Identical workloads run `search`, then build each run's kept suffix at
+/// the horizon — the kept counts are the per-run caps, so no node beyond
+/// them is built — and trim and sequence it: no selection pass runs after
+/// the search unless it returned its unprobed ceiling, where one pass
+/// selects at the horizon first.  Released workloads search with
 /// `min_released_horizon` and materialize with one released pass.
 template <typename Kind, typename Emit>
 std::size_t solve(Kind& kind, const Workload& workload, RunDriverScratch& s, Emit&& emit) {
   MST_REQUIRE(workload.count() >= 1, "schedule needs at least one task");
   const std::size_t n = workload.count();
-  std::size_t probes = 0;
   if (workload.has_release_dates()) {
+    std::size_t probes = 0;
     const Time horizon = min_released_horizon(
         n, kind.ceiling(n), workload.last_release(),
         [&](std::size_t k) { return kind.lower_bound(k); },
@@ -230,26 +325,23 @@ std::size_t solve(Kind& kind, const Workload& workload, RunDriverScratch& s, Emi
     decide(kind, horizon, workload, n, s, emit);
     return probes;
   }
-  // The ceiling goes first: it refuses an out-of-domain `n` before the
-  // bound's arithmetic could overflow.
-  const Time ceiling = kind.ceiling(n);
-  Time kept = -1;
-  const Time horizon = min_feasible_horizon(kind.lower_bound(n), ceiling, [&](Time t) {
-    ++probes;
-    if (count(kind, t, workload, n, s) < n) return false;
+  const SearchResult found = search(kind, n, s);
+  if (s.kept_at != found.horizon) {
+    // The unprobed ceiling: select there, by a pass when the last merge
+    // reached it (merge-ahead stops at the ceiling).
+    if (found.horizon <= s.merged_at) {
+      select_merged(found.horizon, s);
+    } else {
+      kind.count_runs(found.horizon, n);
+      select(s);
+    }
     std::swap(s.counts, s.kept);
-    kept = t;
-    return true;
-  });
-  kind.runs(horizon, n);
-  if (kept == horizon) {
-    std::swap(s.counts, s.kept);
-  } else {
-    select(s);
   }
+  kind.runs(found.horizon, n, &s.kept);
+  s.counts.assign(s.kept.begin(), s.kept.end());
   trim_to_cap(n, s);
   sequence(s, emit);
-  return probes;
+  return found.probes;
 }
 
 // mstlint: zero-alloc-end

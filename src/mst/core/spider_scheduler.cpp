@@ -78,13 +78,16 @@ struct SpiderRuns {
       scratch.runs.push_back(JobRun{c1, begin, scratch.deadlines.size()});
     }
   }
-  void runs(Time t_lim, std::size_t cap) const {
+  void runs(Time t_lim, std::size_t cap, const std::vector<std::size_t>* run_caps) const {
     std::vector<ChainSchedule>& legs = solve->legs;
     if (legs.size() < spider.num_legs()) legs.resize(spider.num_legs());
     scratch.deadlines.clear();
     scratch.runs.clear();
     for (std::size_t l = 0; l < spider.num_legs(); ++l) {
-      ChainScheduler::schedule_within_into(spider.leg(l), t_lim, cap, scratch.chain, legs[l]);
+      // A cap keeps the latest tasks of the backward construction: leg l's
+      // kept suffix, built alone.
+      const std::size_t leg_cap = run_caps != nullptr ? std::min(cap, (*run_caps)[l]) : cap;
+      ChainScheduler::schedule_within_into(spider.leg(l), t_lim, leg_cap, scratch.chain, legs[l]);
       const Time c1 = spider.leg(l).comm(0);
       const std::size_t begin = scratch.deadlines.size();
       for (const ChainTask& t : legs[l].tasks) scratch.deadlines.push_back(t.emissions.front() + c1);
@@ -154,6 +157,12 @@ std::size_t SpiderScheduler::schedule_into(const Spider& spider, std::size_t n,
   return schedule_into(spider, Workload::identical(n), scratch, out);
 }
 
+run_select::SearchResult SpiderScheduler::makespan(const Spider& spider, std::size_t n,
+                                                   SpiderCountScratch& scratch) {
+  SpiderRuns kind{spider, scratch};
+  return run_select::search(kind, n, scratch);
+}
+
 std::size_t SpiderScheduler::schedule_into(const Spider& spider, const Workload& workload,
                                            SpiderSolveScratch& scratch, SpiderSchedule& out) {
   SpiderRuns kind{spider, scratch.count, &scratch};
@@ -197,7 +206,8 @@ SpiderSchedule SpiderScheduler::schedule(const Spider& spider, std::size_t n) {
 }
 
 Time SpiderScheduler::makespan(const Spider& spider, std::size_t n) {
-  return schedule(spider, n).makespan();
+  SpiderCountScratch scratch;
+  return makespan(spider, n, scratch).horizon;
 }
 
 }  // namespace mst

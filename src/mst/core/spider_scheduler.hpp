@@ -33,6 +33,13 @@
 /// steps (1)–(2) as the run builders, the search ceiling, and the task
 /// writer of step (4).  The makespan form searches the minimal `T_lim` of
 /// the monotone decision form, seeded with `spider_makespan_lower_bound`.
+/// A leg's capped emissions at `t + Δ` are its emissions at `t` shifted by
+/// `Δ` (the chain builds backwards from the horizon), so the search runs
+/// the leg kernels and merges their runs about once per solve, at a horizon
+/// ahead of its probes, and answers every probe below it with a linear
+/// pass.  The count-only makespan form stops there — the minimal horizon
+/// is the optimal makespan — and the materializing form builds each leg's
+/// kept suffix alone: `kept[l]` tasks of leg `l`, not `n`.
 /// Total complexity stays polynomial (Theorem 2) and the result is optimal
 /// (Theorem 3).
 
@@ -83,17 +90,25 @@ class SpiderScheduler {
   /// driver's count policy entirely in `scratch` (per-leg counts left in
   /// `scratch.counts`), never materializing leg schedules or virtual-node
   /// vectors.  Returns exactly
-  /// `schedule_within(spider, t_lim, cap).tasks.size()`.  Both the makespan
-  /// form's horizon search and the registry's `materialize == false` fast
-  /// path run on this.
+  /// `schedule_within(spider, t_lim, cap).tasks.size()`.  The registry's
+  /// `materialize == false` decision path runs on this; the makespan
+  /// search's probes are the same selection as linear passes.
   static std::size_t count_within(const Spider& spider, Time t_lim, std::size_t cap,
                                   SpiderCountScratch& scratch);
 
   /// Makespan form: optimal schedule of exactly `n` tasks.
   static SpiderSchedule schedule(const Spider& spider, std::size_t n);
 
-  /// Optimal makespan of `n` tasks.
+  /// Optimal makespan of `n` tasks (`makespan` below on a fresh scratch).
   static Time makespan(const Spider& spider, std::size_t n);
+
+  /// Count-only makespan form: the driver's identical search alone — the
+  /// minimal feasible horizon, which is the optimal makespan of `n` tasks,
+  /// and the probes it took (exactly `schedule_into`'s).  The leg kernels
+  /// run once per merge (about once per solve) and no leg schedule is
+  /// built; allocation-free on warm scratch.
+  static run_select::SearchResult makespan(const Spider& spider, std::size_t n,
+                                           SpiderCountScratch& scratch);
 
   /// Workload decision form.  Identical workloads reduce to the methods
   /// above (capped at the workload count).  Release dates bind positionally
@@ -141,8 +156,8 @@ class SpiderScheduler {
                                    SpiderSolveScratch& scratch, SpiderSchedule& out);
 
   /// In-place form of `schedule(spider, n)` (which is this on a fresh
-  /// scratch): the driver's identical search, leg build at the horizon,
-  /// revert from the kept counts, normalize.  Returns the number of count probes the search
+  /// scratch): the driver's identical search, each leg's kept suffix built
+  /// at the horizon, revert from the kept counts, normalize.  Returns the number of count probes the search
   /// made — a deterministic work count.
   static std::size_t schedule_into(const Spider& spider, std::size_t n,
                                    SpiderSolveScratch& scratch, SpiderSchedule& out);

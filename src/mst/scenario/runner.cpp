@@ -309,6 +309,16 @@ std::vector<CellOutcome> run_cells(const std::vector<Cell>& cells, const RunOpti
                                  std::to_string(record.cell.index) +
                                  " does not match this sweep's grid; refusing to resume");
       }
+      // A record journaled with metrics on always carries its cell's
+      // `scenario.cell.wall_us`: an empty one was written with metrics off,
+      // and absorbing nothing for it would leave the aggregate short of the
+      // uninterrupted run's.
+      if (options.metrics != nullptr && record.metrics.empty()) {
+        throw std::runtime_error(journal->path() + ": journal record for cell " +
+                                 std::to_string(record.cell.index) +
+                                 " carries no metric samples (the journal was written without "
+                                 "metrics); resume without metrics or start a fresh journal");
+      }
       const std::size_t j = found->second;
       if (done[j] != 0) continue;  // duplicate record: identical by determinism
       results[j] = record;

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -360,6 +361,42 @@ TEST(ShardedRun, PartialResumeRebuildsTheMetricAggregate) {
     EXPECT_EQ(without_journal.to_json(), reference.to_json()) << threads << " threads";
     EXPECT_EQ(to_csv(rows, {}), to_csv(reference_rows, {}));
   }
+}
+
+TEST(ShardedRun, MetricsResumeRefusesAMetricsLessJournal) {
+  // Records journaled with metrics off carry no samples: a resume with
+  // metrics on could not rebuild the aggregate from them, so it refuses,
+  // naming the journal and both ways out — either of which then works.
+  const std::vector<Cell> cells = expand(small_grid());
+  const std::string dir = scratch_dir("metrics_less");
+  RunOptions journaled;
+  journaled.threads = 2;
+  journaled.journal_dir = dir;
+  const std::vector<CellOutcome> reference_rows = run_cells(cells, journaled);
+
+  obs::MetricsRegistry metrics;
+  RunOptions resume = journaled;
+  resume.metrics = &metrics;
+  try {
+    (void)run_cells(cells, resume);
+    ADD_FAILURE() << "a metrics-on resume over a metrics-less journal must be refused";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(journal_path(dir, 0, 1)), std::string::npos) << what;
+    EXPECT_NE(what.find("carries no metric samples"), std::string::npos) << what;
+    EXPECT_NE(what.find("resume without metrics or start a fresh journal"), std::string::npos)
+        << what;
+  }
+
+  // Without metrics the same journal still resumes: every cell replays.
+  const std::vector<CellOutcome> rows = run_cells(cells, journaled);
+  EXPECT_EQ(to_csv(rows, {}), to_csv(reference_rows, {}));
+
+  // A fresh journal takes metrics.
+  RunOptions fresh = resume;
+  fresh.journal_dir = scratch_dir("metrics_less_fresh");
+  EXPECT_EQ(to_csv(run_cells(cells, fresh), {}), to_csv(reference_rows, {}));
+  EXPECT_FALSE(metrics.snapshot().empty());
 }
 
 /// The tentpole: shard the grid N ways through journals, merge, and demand

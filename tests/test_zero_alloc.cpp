@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "mst/api/registry.hpp"
@@ -220,6 +221,41 @@ TEST(SolveZeroAlloc, MaterializedOptimalSolvesAreAllocationFree) {
   EXPECT_EQ(solve_allocations(spider, "optimal", 300), 0) << "spider";
 }
 
+TEST(SolveZeroAlloc, WarmCountOnlyMakespansAllocateNothing) {
+  // The count-only makespan form — the search alone, about one merge and
+  // linear passes — on warm scratch, at core level and through the
+  // registry's `materialize == false` entry.
+  Rng rng(8);
+  const GeneratorParams params{1, 10, PlatformClass::kUniform};
+  const Fork fork = random_fork(rng, 12, params);
+  const Spider spider = random_spider(rng, 6, 3, params);
+  const api::Platform fork_platform(fork);
+  const api::Platform spider_platform(spider);
+  ForkCountScratch fork_scratch;
+  SpiderCountScratch spider_scratch;
+  api::SolveScratch scratch;
+  api::SolveOptions options;
+  options.materialize = false;
+  options.scratch = &scratch;
+  const api::Registry& registry = api::registry();
+  Time sum = 0;
+  const auto solve_all = [&] {
+    for (const std::size_t n : {1u, 40u, 300u}) {
+      sum += ForkScheduler::makespan(fork, n, fork_scratch).horizon;
+      sum += SpiderScheduler::makespan(spider, n, spider_scratch).horizon;
+      sum += registry.solve(fork_platform, "optimal", n, options).makespan;
+      sum += registry.solve(spider_platform, "optimal", n, options).makespan;
+    }
+  };
+  for (int warm = 0; warm < 2; ++warm) solve_all();
+
+  alloc_probe::Scope probe;
+  solve_all();
+  const long count = probe.count();
+  EXPECT_GT(sum, 0);
+  EXPECT_EQ(count, 0);
+}
+
 /// `n` unit tasks with release dates drawn in [0, spread], at least one
 /// of them positive.
 Workload released_tasks(Rng& rng, std::size_t n, Time spread) {
@@ -284,6 +320,20 @@ TEST(SolveZeroAlloc, ScratchSolvesMatchPlainSolvesExactly) {
       EXPECT_EQ(pooled.optimal, plain.optimal) << what;
       EXPECT_EQ(pooled.schedule == plain.schedule, true) << what;
       scratch.recycle(std::move(pooled));
+
+      // Count-only (the fork/spider `optimal` entries take the search-only
+      // makespan form on identical workloads): every field but the payload.
+      api::SolveOptions count_options = scratch_options;
+      count_options.materialize = false;
+      const api::SolveResult counted = registry.solve(c.platform, c.algorithm, workload,
+                                                      count_options);
+      EXPECT_EQ(counted.makespan, plain.makespan) << what;
+      EXPECT_EQ(counted.lower_bound, plain.lower_bound) << what;
+      EXPECT_EQ(counted.tasks, plain.tasks) << what;
+      EXPECT_EQ(counted.optimal, plain.optimal) << what;
+      EXPECT_EQ(counted.algorithm, plain.algorithm) << what;
+      EXPECT_EQ(counted.kind, plain.kind) << what;
+      EXPECT_TRUE(std::holds_alternative<std::monostate>(counted.schedule)) << what;
 
       plain_options.workload = std::make_shared<const Workload>(workload);
       scratch_options.workload = plain_options.workload;
